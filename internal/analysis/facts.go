@@ -114,36 +114,16 @@ const HotDirective = "capvet:hot"
 // hotByContract reports whether a declaration belongs to the declared
 // hot set: the warm-drain entry points whose zero-alloc behaviour the
 // AllocsPerRun guards pin.
-func hotByContract(relPath, recv, name string) bool {
+func hotByContract(relPath, name string) bool {
 	switch relPath {
 	case "internal/sim":
 		return name == "StepBlock" || name == "forEachBlock"
 	case "internal/trace":
-		return name == "decodeColumns" || (recv == "memReader" && name == "NextBatch")
+		return name == "decodeColumns"
 	case "internal/cpu":
 		return name == "Run"
 	}
 	return false
-}
-
-// recvTypeName extracts a receiver's type name syntactically.
-func recvTypeName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	switch t := t.(type) {
-	case *ast.Ident:
-		return t.Name
-	case *ast.IndexExpr: // generic receiver
-		if id, ok := t.X.(*ast.Ident); ok {
-			return id.Name
-		}
-	}
-	return ""
 }
 
 // collectHotSet resolves the hot set and its one-level propagation
@@ -166,7 +146,7 @@ func (f *Facts) collectHotSet(pkgs []*Package) {
 					continue
 				}
 				decls[obj] = declSite{fd, pkg}
-				if hotByContract(pkg.RelPath, recvTypeName(fd), fd.Name.Name) || hasHotDirective(fd) {
+				if hotByContract(pkg.RelPath, fd.Name.Name) || hasHotDirective(fd) {
 					f.hotFuncs[obj] = true
 				}
 			}

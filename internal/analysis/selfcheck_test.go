@@ -33,7 +33,7 @@ func TestRealTreeHotSetResolved(t *testing.T) {
 	for obj := range facts.hotFuncs {
 		names[obj.Name()] = true
 	}
-	for _, want := range []string{"StepBlock", "forEachBlock", "decodeColumns", "NextBatch", "Run"} {
+	for _, want := range []string{"StepBlock", "forEachBlock", "decodeColumns", "Run"} {
 		if !names[want] {
 			t.Errorf("declared hot function %s did not resolve; hot set: %v", want, names)
 		}

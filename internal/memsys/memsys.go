@@ -181,10 +181,6 @@ func (h *Hierarchy) Access(addr uint32, write bool) int {
 	return lat + h.cfg.MemCycles
 }
 
-// L1HitCycles exposes the L1 latency (the minimum load-to-use latency the
-// paper's address prediction hides).
-func (h *Hierarchy) L1HitCycles() int { return h.cfg.L1.HitCycles }
-
 // Prefetch brings addr's line into the hierarchy without counting it as
 // demand traffic in either level's hit statistics.
 func (h *Hierarchy) Prefetch(addr uint32) {

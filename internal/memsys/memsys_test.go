@@ -115,9 +115,6 @@ func TestHierarchyLatencies(t *testing.T) {
 	if lat := h.Access(0x12345000, false); lat != cfg.L1.HitCycles {
 		t.Errorf("warm access latency = %d, want %d", lat, cfg.L1.HitCycles)
 	}
-	if h.L1HitCycles() != cfg.L1.HitCycles {
-		t.Errorf("L1HitCycles = %d", h.L1HitCycles())
-	}
 }
 
 func TestHierarchyL2Hit(t *testing.T) {

@@ -41,30 +41,6 @@ const (
 	SelStrongCAP
 )
 
-// SelStateName returns a display name for a hybrid selector state.
-func SelStateName(s uint8) string {
-	return SelStateNameBetween(CompStride, CompCAP, s)
-}
-
-// SelStateNameBetween names a 2-bit selector state arbitrating lo (low
-// counter values prefer it) against hi. The names come from the
-// components' own name table rather than a closed stride/cap switch, so
-// any tournament pairing renders correctly in breakdowns.
-func SelStateNameBetween(lo, hi Component, s uint8) string {
-	switch s {
-	case SelStrongStride:
-		return "strong-" + lo.String()
-	case SelWeakStride:
-		return "weak-" + lo.String()
-	case SelWeakCAP:
-		return "weak-" + hi.String()
-	case SelStrongCAP:
-		return "strong-" + hi.String()
-	default:
-		return "invalid"
-	}
-}
-
 // HybridConfig configures the hybrid CAP/stride predictor of §3.7. The
 // load buffer is shared: each entry carries both components' fields plus
 // the selector counter.

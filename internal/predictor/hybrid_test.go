@@ -57,7 +57,7 @@ func TestHybridSelectorConverges(t *testing.T) {
 		t.Fatal("LB entry missing")
 	}
 	if e.sel > SelWeakStride {
-		t.Errorf("selector state = %s, want stride side", SelStateName(e.sel))
+		t.Errorf("selector state = %d, want stride side (≤ %d)", e.sel, SelWeakStride)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestHybridSelectorInitiallyWeakCAP(t *testing.T) {
 		t.Fatal("LB entry missing")
 	}
 	if e.sel != SelWeakCAP {
-		t.Errorf("initial selector = %s, want weak-cap", SelStateName(e.sel))
+		t.Errorf("initial selector = %d, want weak-cap (%d)", e.sel, SelWeakCAP)
 	}
 }
 
@@ -138,21 +138,6 @@ func TestUpdatePolicyString(t *testing.T) {
 		UpdateUnlessStrideSelected.String() != "unless-stride-selected" ||
 		UpdatePolicy(9).String() != "invalid" {
 		t.Error("UpdatePolicy.String wrong")
-	}
-}
-
-func TestSelStateName(t *testing.T) {
-	want := map[uint8]string{
-		SelStrongStride: "strong-stride",
-		SelWeakStride:   "weak-stride",
-		SelWeakCAP:      "weak-cap",
-		SelStrongCAP:    "strong-cap",
-		9:               "invalid",
-	}
-	for s, n := range want {
-		if SelStateName(s) != n {
-			t.Errorf("SelStateName(%d) = %q, want %q", s, SelStateName(s), n)
-		}
 	}
 }
 

@@ -95,11 +95,6 @@ func (r *Registry) Counter(name, help, labels string) *Var {
 	return r.register(name, help, "counter", labels, &Var{})
 }
 
-// Gauge registers an explicitly-set gauge series.
-func (r *Registry) Gauge(name, help, labels string) *Var {
-	return r.register(name, help, "gauge", labels, &Var{})
-}
-
 // GaugeFunc registers a gauge whose value is computed at scrape time.
 func (r *Registry) GaugeFunc(name, help, labels string, fn func() int64) {
 	r.register(name, help, "gauge", labels, &Var{fn: fn})

@@ -59,5 +59,5 @@ func TestRegistryTypeConflictPanics(t *testing.T) {
 			t.Fatal("re-registering a counter as a gauge must panic")
 		}
 	}()
-	r.Gauge("x_total", "X.", "")
+	r.GaugeFunc("x_total", "X.", "", func() int64 { return 0 })
 }

@@ -442,11 +442,9 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 		s.mBatchConflict.Inc()
 		writeErr(w, http.StatusConflict, err)
 		return
-	case err != nil:
-		writeErr(w, http.StatusBadRequest, err)
-		return
 	}
-	s.mBatches.Inc()
+	// A body that failed to decode still applied the events before the
+	// corrupt byte: its deltas count like an accepted body's.
 	kind := sess.Cfg.Predictor
 	s.mKindLoads[kind].Add(res.DLoads)
 	s.mKindPredicted[kind].Add(res.DPredicted)
@@ -459,6 +457,11 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 			v.Add(d.Correct)
 		}
 	}
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	s.mBatches.Inc()
 	writeJSON(w, http.StatusOK, batchResponse{
 		Session:  sess.ID,
 		Events:   res.Events,

@@ -270,6 +270,42 @@ func TestBudget429AndMetrics(t *testing.T) {
 	}
 }
 
+// TestCorruptBodyMetrics: the per-kind /metrics series count the events
+// a 400 body applied before its corrupt byte, so they agree with the
+// session's counters and the ingested-events total.
+func TestCorruptBodyMetrics(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	v := openSession(t, ts.URL, SessionConfig{Predictor: "hybrid"})
+	body := append(encodeTrace(t, collectEvents(t, 0, 5000)), 0x3f)
+	if code, b, _ := do(t, "POST", ts.URL+"/v1/sessions/"+v.ID+"/events", body); code != http.StatusBadRequest {
+		t.Fatalf("corrupt body: %d %s, want 400", code, b)
+	}
+	code, b, _ := do(t, "GET", ts.URL+"/v1/sessions/"+v.ID, nil)
+	if code != http.StatusOK {
+		t.Fatalf("get session: %d %s", code, b)
+	}
+	var got sessionViewResp
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatal(err)
+	}
+	_, b, _ = do(t, "GET", ts.URL+"/metrics", nil)
+	page := string(b)
+	for _, want := range []string{
+		"capserve_events_ingested_total 5000",
+		"capserve_batches_served_total 0",
+		fmt.Sprintf(`capserve_loads_total{predictor="hybrid"} %d`, got.Counters.Loads),
+		fmt.Sprintf(`capserve_predicted_total{predictor="hybrid"} %d`, got.Counters.Predicted),
+		fmt.Sprintf(`capserve_correct_total{predictor="hybrid"} %d`, got.Counters.Correct),
+	} {
+		if !strings.Contains(page, want+"\n") {
+			t.Errorf("/metrics missing %q in:\n%s", want, page)
+		}
+	}
+	if got.Events != 5000 || got.Counters.Loads == 0 {
+		t.Fatalf("session after corrupt body: %+v", got)
+	}
+}
+
 func TestBatchBodyCap(t *testing.T) {
 	_, ts := newTestServer(t, func(c *Config) { c.MaxBatchBytes = 64 })
 	v := openSession(t, ts.URL, SessionConfig{Predictor: "stride"})

@@ -238,10 +238,14 @@ func (st *sessionStore) chargeEvents(n int64) { st.globalEvents.Add(n) }
 
 // ingest decodes one request body's chunk of the session's event stream
 // and steps the predictor over every complete event, returning the
-// number of events applied. The whole batch is applied atomically with
-// respect to budget admission: admission is checked before any decode,
-// so a rejected batch leaves the decoder and predictor untouched and the
-// client can close the session cleanly.
+// number of events applied. Budget admission is checked before any
+// decode, so a rejected batch leaves the decoder and predictor untouched
+// and the client can close the session cleanly. A body that fails to
+// decode has still stepped the predictor over every event before the
+// corrupt byte; those events count in the session total and the global
+// charge exactly as an accepted body's do, and the result carries their
+// counter deltas alongside the error. Only accepted bodies count as
+// batches.
 func (s *session) ingest(st *sessionStore, body []byte) (ingestResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -257,13 +261,13 @@ func (s *session) ingest(st *sessionStore, body []byte) (ingestResult, error) {
 	before := s.st.C
 	evBefore := s.dec.Events()
 	// Block-native ingest: the decoder writes columns, the stepper reads
-	// them; no []Event batch is materialised between the two.
-	if err := s.dec.FeedBlocks(body, s.st.StepBlock); err != nil {
-		return ingestResult{}, err
+	// them; no []Event slice is materialised between the two.
+	err := s.dec.FeedBlocks(body, s.st.StepBlock)
+	if err == nil {
+		s.batches++
 	}
 	n := s.dec.Events() - evBefore
 	s.events += n
-	s.batches++
 	s.lastUsed = st.now()
 	st.chargeEvents(n)
 	res := ingestResult{
@@ -287,7 +291,7 @@ func (s *session) ingest(st *sessionStore, body []byte) (ingestResult, error) {
 		}
 		s.prevSel = cur
 	}
-	return res, nil
+	return res, err
 }
 
 // finish drains the prediction gap (resolving in-flight predictions, as

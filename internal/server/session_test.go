@@ -165,3 +165,38 @@ func TestRejectedBatchLeavesSessionUntouched(t *testing.T) {
 		t.Fatalf("rejected batch mutated the session: %+v vs %+v", after, before)
 	}
 }
+
+// TestCorruptBodyCountsAppliedEvents: a body that fails to decode has
+// already stepped the predictor over the events before the corrupt
+// byte, so the session total and the global charge must count them —
+// otherwise the counters disagree with the event count.
+func TestCorruptBodyCountsAppliedEvents(t *testing.T) {
+	st := newSessionStore(testConfig())
+	cfg := SessionConfig{Predictor: "hybrid"}
+	s, err := st.create(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := collectEvents(t, 0, 5000)
+	body := append(encodeTrace(t, evs), 0x3f) // invalid kind byte
+	res, err := s.ingest(st, body)
+	if err == nil {
+		t.Fatal("corrupt body accepted")
+	}
+	snap := s.snapshot()
+	if snap.Events != 5000 || res.Events != 5000 {
+		t.Fatalf("after corrupt body: session events %d, result events %d, want 5000", snap.Events, res.Events)
+	}
+	if want := offlineCounters(t, cfg, evs); snap.C != want {
+		t.Fatalf("counters diverge from offline run:\n  session %+v\n  offline %+v", snap.C, want)
+	}
+	if res.DLoads != snap.C.Loads || res.DPredicted != snap.C.Predicted || res.DCorrect != snap.C.Correct {
+		t.Fatalf("result deltas %d/%d/%d, counters %+v", res.DLoads, res.DPredicted, res.DCorrect, snap.C)
+	}
+	if got := st.ingested(); got != 5000 {
+		t.Fatalf("global charge %d, want 5000", got)
+	}
+	if snap.Batches != 0 {
+		t.Fatalf("rejected body counted as batch %d", snap.Batches)
+	}
+}

@@ -50,11 +50,11 @@ func TestStepperMatchesRunTrace(t *testing.T) {
 			}
 
 			st := NewStepper(mk(speculative), gap)
-			src := trace.AsBatch(trace.NewLimit(spec.Open(), events))
-			var buf [333]trace.Event // deliberately off-size batches
+			src := trace.AsBlocks(trace.NewLimit(spec.Open(), events))
+			b := trace.NewBlock(333) // deliberately off-size blocks
 			for {
-				n, ok := src.NextBatch(buf[:])
-				st.StepBatch(buf[:n])
+				_, ok := src.NextBlock(b, 333)
+				st.StepBlock(b)
 				if !ok {
 					break
 				}

@@ -11,6 +11,46 @@ import (
 	"testing"
 )
 
+// testEvents returns a deterministic mixed-kind stream of n events.
+func testEvents(n int) []Event {
+	evs := make([]Event, n)
+	for i := range evs {
+		switch i % 5 {
+		case 0:
+			evs[i] = Event{Kind: KindLoad, IP: uint32(i), Addr: uint32(i * 8), Val: uint32(i * 3), Offset: int32(i % 64), Src1: uint32(i % 7)}
+		case 1:
+			evs[i] = Event{Kind: KindStore, IP: uint32(i), Addr: uint32(i * 4), Offset: -int32(i % 32), Src2: uint32(i % 3)}
+		case 2:
+			evs[i] = Event{Kind: KindBranch, IP: uint32(i), Addr: uint32(i + 100), Taken: i%3 == 0, Src1: uint32(i % 5)}
+		case 3:
+			evs[i] = Event{Kind: KindALU, IP: uint32(i), Src1: 1, Src2: 2, Lat: uint8(1 + i%4)}
+		default:
+			evs[i] = Event{Kind: KindCall, IP: uint32(i), Addr: uint32(i * 16)}
+		}
+	}
+	return evs
+}
+
+func eventsEqual(t *testing.T, got, want []Event) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("got %d events, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("event %d: got %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// appendBlock gathers every event of b onto dst.
+func appendBlock(dst []Event, b *Block) []Event {
+	for i := 0; i < b.Len(); i++ {
+		dst = append(dst, b.Event(i))
+	}
+	return dst
+}
+
 // drainBlocks pulls every event out of src through NextBlock at the
 // given block size, gathering into []Event for comparison, then checks
 // Err.
@@ -21,7 +61,7 @@ func drainBlocks(t *testing.T, src Source, blockLen int) []Event {
 	var out []Event
 	for {
 		n, ok := bs.NextBlock(b, blockLen)
-		out = b.AppendEvents(out)
+		out = appendBlock(out, b)
 		if n != b.Len() {
 			t.Fatalf("NextBlock returned %d but resized the block to %d", n, b.Len())
 		}
@@ -46,38 +86,6 @@ func warmReplayCursor(t *testing.T, evs []Event) func() Source {
 		t.Fatalf("stream not resident: %+v", st)
 	}
 	return func() Source { return c.Open("k", gen) }
-}
-
-// TestBlockMatchesPerEvent checks that every block-native implementation
-// and the scatter adapter yield exactly the canonical per-event stream,
-// across block sizes that divide, straddle and exceed the stream length.
-func TestBlockMatchesPerEvent(t *testing.T) {
-	want := testEvents(1000)
-	sources := map[string]func() Source{
-		"slice":   func() Source { return NewSliceSource(want) },
-		"adapter": func() Source { return &unbatched{src: NewSliceSource(want)} },
-		"limit": func() Source {
-			return NewLimit(NewSliceSource(testEvents(4000)), 1000)
-		},
-		"corrupt-every-1e9": func() Source {
-			return NewCorrupt(NewSliceSource(want), 1<<40, nil)
-		},
-		"replay-warm": warmReplayCursor(t, want),
-	}
-	for name, mk := range sources {
-		for _, bl := range []int{1, 7, 100, 1000, 4096} {
-			got := drainBlocks(t, mk(), bl)
-			switch name {
-			case "limit":
-				eventsEqual(t, got, testEvents(4000)[:1000])
-			case "replay-warm":
-				// The cache stores the canonical form, like the v3 codec.
-				eventsEqual(t, got, canonicalAll(want))
-			default:
-				eventsEqual(t, got, want)
-			}
-		}
-	}
 }
 
 // TestBlockGatherScatterRoundTrip pins the column contract: SetEvent
@@ -131,7 +139,7 @@ func TestReaderMixedBlockAndEventReads(t *testing.T) {
 	for i := 0; ; i++ {
 		if i%2 == 0 {
 			n, ok := r.NextBlock(b, 97)
-			out = b.AppendEvents(out)
+			out = appendBlock(out, b)
 			if n == 0 && !ok {
 				break
 			}
@@ -151,8 +159,8 @@ func TestReaderMixedBlockAndEventReads(t *testing.T) {
 	eventsEqual(t, out, want)
 }
 
-// TestFailAfterBlockReportsInjectedError mirrors the batch test on the
-// block path: exactly n events delivered, then the injected error.
+// TestFailAfterBlockReportsInjectedError: exactly n events delivered on
+// the block path, then the caller's injected error.
 func TestFailAfterBlockReportsInjectedError(t *testing.T) {
 	boom := errors.New("boom")
 	src := NewFailAfter(NewSliceSource(testEvents(1000)), 700, boom)
@@ -232,28 +240,25 @@ func TestWarmBlockDrainZeroAlloc(t *testing.T) {
 }
 
 // TestFeedBlocksMatchesFeed runs the streaming decoder's block entry
-// point against the per-event one over every chunking of the same bytes
-// — including chunks smaller than the columnar safety margin, which
-// force the bounds-checked sweep to do all the work — and requires
-// identical events, counts and tail behaviour.
+// point against the per-event oracle (decodeStreamEvent over the whole
+// input) at every chunking of the same bytes — including chunks smaller
+// than the columnar safety margin, which force the bounds-checked sweep
+// to do all the work — and requires identical events, counts and tail
+// behaviour.
 func TestFeedBlocksMatchesFeed(t *testing.T) {
 	evs := randomEvents(11, 5_000)
 	data := encodeEvents(t, evs)
+	want, err := oracleDecode(data)
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
 	for _, chunk := range []int{1, 3, 64, 71, 72, 73, 1024, len(data)} {
-		want, err := feedAll(t, data, chunk)
-		if err != nil {
-			t.Fatalf("chunk %d: Feed: %v", chunk, err)
-		}
-
 		d := NewStreamDecoder()
 		var got []Event
 		for pos := 0; pos < len(data); pos += chunk {
-			end := pos + chunk
-			if end > len(data) {
-				end = len(data)
-			}
+			end := min(pos+chunk, len(data))
 			if err := d.FeedBlocks(data[pos:end], func(b *Block) {
-				got = b.AppendEvents(got)
+				got = appendBlock(got, b)
 			}); err != nil {
 				t.Fatalf("chunk %d: FeedBlocks: %v", chunk, err)
 			}
@@ -268,29 +273,85 @@ func TestFeedBlocksMatchesFeed(t *testing.T) {
 	}
 }
 
-// TestFeedBlocksLatchesDecodeError: corruption mid-stream must latch on
-// the block path exactly as on the per-event path.
+// TestFeedBlocksLatchesDecodeError: corruption mid-stream latches, and
+// every event before the corrupt one has been delivered and counted.
 func TestFeedBlocksLatchesDecodeError(t *testing.T) {
 	data := encodeEvents(t, testEvents(100))
 	data = append(data, 0x3f) // invalid kind byte where the next event should start
 	d := NewStreamDecoder()
-	err := d.FeedBlocks(data, nil)
+	var got int
+	err := d.FeedBlocks(data, func(b *Block) { got += b.Len() })
 	if err == nil {
 		t.Fatal("corrupt stream decoded cleanly")
+	}
+	if got != 100 || d.Events() != 100 {
+		t.Fatalf("before the corrupt byte: delivered %d, counted %d, want 100", got, d.Events())
 	}
 	if err2 := d.FeedBlocks([]byte{0}, nil); !errors.Is(err2, err) {
 		t.Fatalf("error not latched: first %v, then %v", err, err2)
 	}
 }
 
-// TestAsBlocksReturnsNativeImplementation mirrors the AsBatch test.
+// TestAsBlocksReturnsNativeImplementation: a block-native source passes
+// through AsBlocks untouched; a per-event one gets the adapter.
 func TestAsBlocksReturnsNativeImplementation(t *testing.T) {
 	s := NewSliceSource(testEvents(10))
 	if AsBlocks(s) != BlockSource(s) {
 		t.Fatalf("AsBlocks re-wrapped a native BlockSource")
 	}
-	u := &unbatched{src: s}
+	u := &sliceSource{evs: testEvents(10)}
 	if _, ok := AsBlocks(u).(*blockAdapter); !ok {
 		t.Fatalf("AsBlocks did not adapt an unblocked source")
 	}
+}
+
+// TestLimitBatchTruncatesExactly: a Limit truncates block delivery at
+// exactly its budget, whether the budget falls inside a block, on a
+// block boundary or past the end of the stream.
+func TestLimitBatchTruncatesExactly(t *testing.T) {
+	for _, limit := range []int64{0, 1, 63, 64, 65, 99, 100, 101, 250} {
+		got := drainBlocks(t, NewLimit(NewSliceSource(testEvents(100)), limit), 64)
+		eventsEqual(t, got, testEvents(100)[:min(limit, 100)])
+	}
+}
+
+// TestFailAfterBatchReportsInjectedError: the default fault is
+// ErrInjected, and the events before it arrive intact through blocks
+// smaller than the budget.
+func TestFailAfterBatchReportsInjectedError(t *testing.T) {
+	src := NewFailAfter(NewSliceSource(testEvents(100)), 37, nil)
+	b := NewBlock(16)
+	var out []Event
+	for {
+		_, ok := src.NextBlock(b, 16)
+		out = appendBlock(out, b)
+		if !ok {
+			break
+		}
+	}
+	if err := src.Err(); err != ErrInjected {
+		t.Fatalf("Err = %v, want ErrInjected", err)
+	}
+	eventsEqual(t, out, testEvents(100)[:37])
+}
+
+// TestCorruptBatchMutatesSameSchedule: block delivery applies Corrupt's
+// every-k mutation to exactly the events per-event delivery mutates, at
+// block sizes that do and do not divide k.
+func TestCorruptBatchMutatesSameSchedule(t *testing.T) {
+	const every = 7
+	want := drainAll(t, NewCorrupt(NewSliceSource(testEvents(200)), every, nil))
+	for _, bl := range []int{1, 5, 64, 200} {
+		got := drainBlocks(t, NewCorrupt(NewSliceSource(testEvents(200)), every, nil), bl)
+		eventsEqual(t, got, canonicalAll(want))
+	}
+}
+
+// TestReaderBatchDecodes: the file Reader's block path returns the
+// canonical stream the Writer encoded, at a block size that divides
+// neither the stream nor the decode window.
+func TestReaderBatchDecodes(t *testing.T) {
+	want := canonicalAll(testEvents(500))
+	got := drainBlocks(t, NewReader(bytes.NewReader(encodeEvents(t, want))), 33)
+	eventsEqual(t, got, want)
 }

@@ -48,7 +48,6 @@ func IsTransient(err error) bool {
 // ErrInjected.
 type FailAfter struct {
 	src  Source
-	bs   BatchSource
 	blks BlockSource
 	n    int64
 	err  error
@@ -69,26 +68,6 @@ func (f *FailAfter) Next() (Event, bool) {
 	}
 	f.n--
 	return f.src.Next()
-}
-
-// NextBatch implements BatchSource: the fault budget truncates batches
-// exactly as it truncates per-event delivery.
-func (f *FailAfter) NextBatch(dst []Event) (int, bool) {
-	if f.n <= 0 {
-		return 0, false
-	}
-	if int64(len(dst)) > f.n {
-		dst = dst[:f.n]
-	}
-	if f.bs == nil {
-		f.bs = AsBatch(f.src)
-	}
-	n, ok := f.bs.NextBatch(dst)
-	f.n -= int64(n)
-	if f.n <= 0 {
-		ok = false
-	}
-	return n, ok
 }
 
 // NextBlock implements BlockSource with the same truncating budget.
@@ -129,7 +108,6 @@ func (f *FailAfter) Err() error {
 // can surface.
 type Corrupt struct {
 	src    Source
-	bs     BatchSource
 	blks   BlockSource
 	every  int64
 	n      int64
@@ -163,22 +141,6 @@ func (c *Corrupt) Next() (Event, bool) {
 		c.mutate(&ev)
 	}
 	return ev, true
-}
-
-// NextBatch implements BatchSource, applying the same every-k mutation
-// schedule to batched delivery.
-func (c *Corrupt) NextBatch(dst []Event) (int, bool) {
-	if c.bs == nil {
-		c.bs = AsBatch(c.src)
-	}
-	n, ok := c.bs.NextBatch(dst)
-	for i := 0; i < n; i++ {
-		c.n++
-		if c.n%c.every == 0 {
-			c.mutate(&dst[i])
-		}
-	}
-	return n, ok
 }
 
 // NextBlock implements BlockSource. Corrupted events round-trip through

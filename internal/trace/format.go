@@ -154,10 +154,9 @@ func (w *Writer) Close() error {
 }
 
 // Reader decodes a binary trace file as a Source. It buffers the input
-// in a sliding byte window and runs the same columnar decode core
-// (decodeColumns) the replay path uses, so file-backed and cached
-// streams share one decode cost model; Next and NextBatch gather events
-// out of an internal block.
+// in a sliding byte window and runs the columnar decode core
+// (decodeColumns) that StreamDecoder.FeedBlocks also uses; Next gathers
+// events out of an internal block.
 type Reader struct {
 	r       io.Reader
 	buf     []byte // window; buf[pos:filled] is undecoded input
@@ -168,8 +167,8 @@ type Reader struct {
 	started bool
 	eof     bool // underlying reader hit EOF; padding appended
 
-	// pend holds decoded-ahead events for the per-event and batch
-	// interfaces; pend[pi:] are not yet delivered.
+	// pend holds decoded-ahead events for the per-event interface;
+	// pend[pi:] are not yet delivered.
 	pend *Block
 	pi   int
 }
@@ -184,16 +183,16 @@ func NewReader(r io.Reader) *Reader {
 }
 
 // fill slides the undecoded tail of the window to the front and reads
-// more input after it. The window always keeps replayPad bytes of slack
-// at its top; at EOF that slack is zeroed so the decode core sees the
-// same padded tail a replay cursor does. Read errors go to r.err.
+// more input after it. The window always keeps eofPad bytes of slack
+// at its top; at EOF that slack is zeroed so the decode core can run to
+// the logical end without bounds checks. Read errors go to r.err.
 func (r *Reader) fill() {
 	if r.pos > 0 {
 		r.filled = copy(r.buf, r.buf[r.pos:r.filled])
 		r.pos = 0
 	}
 	for tries := 0; !r.eof && r.err == nil; {
-		n, err := r.r.Read(r.buf[r.filled : len(r.buf)-replayPad])
+		n, err := r.r.Read(r.buf[r.filled : len(r.buf)-eofPad])
 		r.filled += n
 		switch {
 		case err == io.EOF:
@@ -211,8 +210,8 @@ func (r *Reader) fill() {
 	}
 	if r.eof {
 		// Zero padding: terminates any varint and keeps every in-event
-		// read inside the slice, exactly like a replay cursor's tail.
-		pad := r.buf[r.filled : r.filled+replayPad]
+		// read inside the slice.
+		pad := r.buf[r.filled : r.filled+eofPad]
 		for i := range pad {
 			pad[i] = 0
 		}
@@ -275,7 +274,7 @@ func (r *Reader) NextBlock(b *Block, max int) (int, bool) {
 	for {
 		end := r.filled - decodeMargin
 		if r.eof {
-			end = r.filled // logical end; buf extends replayPad past it
+			end = r.filled // logical end; buf extends eofPad past it
 		}
 		if r.pos < end {
 			n, pos, err := decodeColumns(b, max, r.buf, r.pos, end, &r.st)
@@ -286,9 +285,12 @@ func (r *Reader) NextBlock(b *Block, max int) (int, bool) {
 			}
 			if r.eof && pos >= end {
 				// Clean EOF lands exactly on end; an overrun means the
-				// final event's fields ran into the padding.
+				// final event's fields ran into the padding, so that
+				// event is not delivered.
 				if pos > end {
 					r.err = errTruncatedEvent
+					n--
+					b.Resize(n)
 				}
 				return n, false
 			}
@@ -308,22 +310,8 @@ func (r *Reader) NextBlock(b *Block, max int) (int, bool) {
 	}
 }
 
-// viewBlock points b at n events of src starting at off, as a shared
-// read-only view.
-func viewBlock(b, src *Block, off, n int) {
-	b.KindTaken = src.KindTaken[off : off+n]
-	b.IP = src.IP[off : off+n]
-	b.Addr = src.Addr[off : off+n]
-	b.Val = src.Val[off : off+n]
-	b.Offset = src.Offset[off : off+n]
-	b.Src1 = src.Src1[off : off+n]
-	b.Src2 = src.Src2[off : off+n]
-	b.Lat = src.Lat[off : off+n]
-	b.shared = true
-}
-
 // refillPend decodes the next run of events into the internal block for
-// the per-event and batch interfaces.
+// the per-event interface.
 func (r *Reader) refillPend() int {
 	if r.pend == nil {
 		r.pend = NewBlock(BlockLen)
@@ -343,26 +331,6 @@ func (r *Reader) Next() (Event, bool) {
 	ev := r.pend.Event(r.pi)
 	r.pi++
 	return ev, true
-}
-
-// NextBatch implements BatchSource, gathering out of the columnar
-// decode. The cached and file paths run the same decode loop; only the
-// final gather differs.
-func (r *Reader) NextBatch(dst []Event) (int, bool) {
-	i := 0
-	for i < len(dst) {
-		if r.pend == nil || r.pi >= r.pend.Len() {
-			if r.refillPend() == 0 {
-				return i, false
-			}
-		}
-		for i < len(dst) && r.pi < r.pend.Len() {
-			dst[i] = r.pend.Event(r.pi)
-			i++
-			r.pi++
-		}
-	}
-	return i, true
 }
 
 // Err implements Source.

@@ -185,9 +185,9 @@ func (c *ReplayCache) reject() *Block {
 }
 
 // colReader is a replay cursor over a resident column store. NextBlock
-// hands out zero-copy views (marked shared, see Block); Next and
-// NextBatch gather events through the kind-gated scatter/gather so
-// per-event consumers see the same canonical events.
+// hands out zero-copy views (marked shared, see Block); Next gathers
+// events through the kind-gated Block.Event so per-event consumers see
+// the same canonical events.
 type colReader struct {
 	cols *Block
 	pos  int
@@ -208,20 +208,6 @@ func (r *colReader) Next() (Event, bool) {
 // Err implements Source: a resident store never fails.
 func (r *colReader) Err() error { return nil }
 
-// NextBatch implements BatchSource by gathering into the caller's
-// buffer.
-func (r *colReader) NextBatch(dst []Event) (int, bool) {
-	n := r.cols.Len() - r.pos
-	if n > len(dst) {
-		n = len(dst)
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = r.cols.Event(r.pos + i)
-	}
-	r.pos += n
-	return n, r.pos < r.cols.Len()
-}
-
 // NextBlock implements BlockSource with a zero-copy view: b's columns
 // are repointed at the resident store for the next n events. The view
 // is read-only and valid until the next call (the Block contract).
@@ -230,16 +216,7 @@ func (r *colReader) NextBlock(b *Block, max int) (int, bool) {
 	if n > max {
 		n = max
 	}
-	p := r.pos
-	b.KindTaken = r.cols.KindTaken[p : p+n]
-	b.IP = r.cols.IP[p : p+n]
-	b.Addr = r.cols.Addr[p : p+n]
-	b.Val = r.cols.Val[p : p+n]
-	b.Offset = r.cols.Offset[p : p+n]
-	b.Src1 = r.cols.Src1[p : p+n]
-	b.Src2 = r.cols.Src2[p : p+n]
-	b.Lat = r.cols.Lat[p : p+n]
-	b.shared = true
+	viewBlock(b, r.cols, r.pos, n)
 	r.pos += n
 	return n, r.pos < r.cols.Len()
 }

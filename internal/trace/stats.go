@@ -24,14 +24,6 @@ type Stats struct {
 	OtherLoads    int // anything else (context or irregular)
 }
 
-// LoadShare returns the fraction of all events that are loads.
-func (s *Stats) LoadShare() float64 {
-	if s.Total == 0 {
-		return 0
-	}
-	return float64(s.ByKind[KindLoad]) / float64(s.Total)
-}
-
 // String renders the stats as a small human-readable report.
 func (s *Stats) String() string {
 	var b strings.Builder

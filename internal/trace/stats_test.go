@@ -48,8 +48,8 @@ func TestCollectCountsAndClassification(t *testing.T) {
 	if got, want := s.TakenPct, 0.75; got != want {
 		t.Errorf("TakenPct = %v, want %v", got, want)
 	}
-	if got := s.LoadShare(); got != 15.0/float64(len(evs)) {
-		t.Errorf("LoadShare = %v", got)
+	if got := s.ByKind[KindLoad]; got != 15 {
+		t.Errorf("ByKind[load] = %d, want 15", got)
 	}
 	if !strings.Contains(s.String(), "static loads: 3") {
 		t.Errorf("String() missing static load count:\n%s", s.String())
@@ -61,7 +61,7 @@ func TestCollectEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Total != 0 || s.LoadShare() != 0 {
+	if s.Total != 0 || s.ByKind[KindLoad] != 0 {
 		t.Errorf("empty stats: %+v", s)
 	}
 }

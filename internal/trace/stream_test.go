@@ -49,18 +49,39 @@ func feedAll(t *testing.T, data []byte, chunk int) ([]Event, error) {
 	t.Helper()
 	d := NewStreamDecoder()
 	var out []Event
+	collect := func(b *Block) { out = appendBlock(out, b) }
 	for pos := 0; pos < len(data); pos += chunk {
-		end := pos + chunk
-		if end > len(data) {
-			end = len(data)
-		}
-		var err error
-		out, err = d.Feed(out, data[pos:end])
-		if err != nil {
+		if err := d.FeedBlocks(data[pos:min(pos+chunk, len(data))], collect); err != nil {
 			return out, err
 		}
 	}
 	return out, d.Close()
+}
+
+// oracleDecode decodes data (header + events) with a plain loop of the
+// bounds-checked per-event decoder: the reference every bulk decode path
+// is held to.
+func oracleDecode(data []byte) ([]Event, error) {
+	if len(data) < 5 || [4]byte(data[:4]) != magic {
+		return nil, ErrBadMagic
+	}
+	if data[4] != formatVersion {
+		return nil, ErrBadVersion
+	}
+	var st deltaState
+	var out []Event
+	for pos := 5; pos < len(data); {
+		ev, next, err := decodeStreamEvent(data, pos, &st)
+		if err == errShortEvent {
+			return out, errTruncatedEvent
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, ev)
+		pos = next
+	}
+	return out, nil
 }
 
 func TestStreamDecoderChunkSizes(t *testing.T) {
@@ -131,10 +152,10 @@ func TestStreamDecoderInvalidKind(t *testing.T) {
 
 func TestStreamDecoderErrorLatches(t *testing.T) {
 	d := NewStreamDecoder()
-	if _, err := d.Feed(nil, []byte("XXXXXXXX")); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("first Feed: %v", err)
+	if err := d.FeedBlocks([]byte("XXXXXXXX"), nil); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("first FeedBlocks: %v", err)
 	}
-	if _, err := d.Feed(nil, encodeEvents(t, randomEvents(1, 3))); !errors.Is(err, ErrBadMagic) {
+	if err := d.FeedBlocks(encodeEvents(t, randomEvents(1, 3)), nil); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("error did not latch: %v", err)
 	}
 	if err := d.Close(); !errors.Is(err, ErrBadMagic) {
@@ -142,67 +163,57 @@ func TestStreamDecoderErrorLatches(t *testing.T) {
 	}
 }
 
-// TestStreamDecoderDecodeStream drains an io.Reader in batches and must
-// agree with the in-memory decode of the same bytes.
+// TestStreamDecoderDecodeStream drains an io.Reader in odd-sized reads
+// through FeedBlocks — the shape of a request body arriving in transport
+// chunks — and must agree with the in-memory decode of the same bytes.
 func TestStreamDecoderDecodeStream(t *testing.T) {
 	evs := randomEvents(23, 3000)
 	data := encodeEvents(t, evs)
 	d := NewStreamDecoder()
 	var got []Event
-	err := d.DecodeStream(iotest{r: bytes.NewReader(data), step: 13}, func(batch []Event) error {
-		got = append(got, batch...)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("DecodeStream: %v", err)
+	collect := func(b *Block) { got = appendBlock(got, b) }
+	r := iotest{r: bytes.NewReader(data), step: 13}
+	var buf [64]byte
+	for {
+		n, err := r.Read(buf[:])
+		if ferr := d.FeedBlocks(buf[:n], collect); ferr != nil {
+			t.Fatalf("FeedBlocks: %v", ferr)
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("Read: %v", err)
+		}
 	}
 	if err := d.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if len(got) != len(evs) {
-		t.Fatalf("decoded %d events, want %d", len(got), len(evs))
-	}
-	for i := range evs {
-		if got[i] != canonical(evs[i]) {
-			t.Fatalf("event %d mismatch", i)
-		}
-	}
+	eventsEqual(t, got, canonicalAll(evs))
 	if d.Events() != int64(len(evs)) {
 		t.Fatalf("Events() = %d, want %d", d.Events(), len(evs))
 	}
 }
 
 // TestStreamDecoderSpansReaders: one logical stream split across two
-// readers (two request bodies) decodes seamlessly.
+// request bodies decodes seamlessly, with the cut inside an event.
 func TestStreamDecoderSpansReaders(t *testing.T) {
 	evs := randomEvents(29, 200)
 	data := encodeEvents(t, evs)
 	cut := len(data) / 2
 	d := NewStreamDecoder()
 	var got []Event
-	collect := func(batch []Event) error { got = append(got, batch...); return nil }
-	if err := d.DecodeStream(bytes.NewReader(data[:cut]), collect); err != nil {
+	collect := func(b *Block) { got = appendBlock(got, b) }
+	if err := d.FeedBlocks(data[:cut], collect); err != nil {
 		t.Fatalf("first body: %v", err)
 	}
-	if err := d.DecodeStream(bytes.NewReader(data[cut:]), collect); err != nil {
+	if err := d.FeedBlocks(data[cut:], collect); err != nil {
 		t.Fatalf("second body: %v", err)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if len(got) != len(evs) {
-		t.Fatalf("decoded %d events, want %d", len(got), len(evs))
-	}
-}
-
-func TestStreamDecoderFnError(t *testing.T) {
-	data := encodeEvents(t, randomEvents(31, 100))
-	d := NewStreamDecoder()
-	sentinel := errors.New("stop")
-	err := d.DecodeStream(bytes.NewReader(data), func([]Event) error { return sentinel })
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("fn error not propagated: %v", err)
-	}
+	eventsEqual(t, got, canonicalAll(evs))
 }
 
 // iotest delivers at most step bytes per Read, forcing chunk reassembly.
@@ -218,29 +229,11 @@ func (s iotest) Read(p []byte) (int, error) {
 	return s.r.Read(p)
 }
 
-// memDecodeAll decodes data (header + events, no padding) through the
-// replay cache's in-memory cursor, the package's reference decoder.
-func memDecodeAll(data []byte) ([]Event, error) {
-	padded := append(append([]byte{}, data...), make([]byte, replayPad)...)
-	r := newMemReader(padded)
-	var out []Event
-	var buf [256]Event
-	for {
-		n, ok := r.NextBatch(buf[:])
-		out = append(out, buf[:n]...)
-		if !ok {
-			break
-		}
-	}
-	return out, r.Err()
-}
-
-// FuzzStreamDecoder cross-checks the chunked stream decoder against the
-// in-memory reference cursor over identical bytes: same events, and
-// errors on the same inputs — including truncated and corrupt tails. The
-// one tolerated divergence: on a truncated tail the padded in-memory
-// cursor may emit a final garbage event decoded out of its padding
-// before flagging the error; the stream decoder never emits it.
+// FuzzStreamDecoder holds both bulk decode paths to the per-event
+// oracle over identical bytes: FeedBlocks fed in random chunk sizes, and
+// the windowed Reader. All three must decode the same events and fail on
+// the same inputs — including truncated and corrupt tails, where every
+// event before the bad one must still be delivered.
 func FuzzStreamDecoder(f *testing.F) {
 	valid := func(n int) []byte {
 		var buf bytes.Buffer
@@ -256,48 +249,57 @@ func FuzzStreamDecoder(f *testing.F) {
 		_ = w.Close()
 		return buf.Bytes()
 	}
-	f.Add(valid(20), uint8(3))
-	f.Add(valid(5)[:20], uint8(1))          // truncated mid-event
-	f.Add(append(valid(2), 0x42), uint8(4)) // corrupt tail kind
-	f.Add([]byte("CAPT\x03"), uint8(1))
-	f.Add([]byte("CAPT\x02"), uint8(2))
-	f.Add([]byte{}, uint8(1))
+	f.Add(valid(20), int64(3))
+	f.Add(valid(5)[:20], int64(1))          // truncated mid-event
+	f.Add(append(valid(2), 0x42), int64(4)) // corrupt tail kind
+	f.Add([]byte("CAPT\x03"), int64(1))
+	f.Add([]byte("CAPT\x02"), int64(2))
+	f.Add([]byte{}, int64(1))
 
-	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
-		step := int(chunk)%64 + 1
-		want, wantErr := memDecodeAll(data)
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		want, wantErr := oracleDecode(data)
+		check := func(path string, got []Event, gotErr error) {
+			t.Helper()
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("%s: error divergence: oracle=%v %s=%v", path, wantErr, path, gotErr)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: decoded %d events, oracle %d (oracle err %v)", path, len(got), len(want), wantErr)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s: event %d: %+v, oracle %+v", path, i, got[i], want[i])
+				}
+			}
+		}
 
+		// FeedBlocks over random chunk sizes, 1 to 2*decodeMargin bytes so
+		// both the columnar bulk and the margin sweep see chunk edges.
+		rng := rand.New(rand.NewSource(seed))
 		d := NewStreamDecoder()
 		var got []Event
 		var gotErr error
-		for pos := 0; pos < len(data) && gotErr == nil; pos += step {
-			end := pos + step
-			if end > len(data) {
-				end = len(data)
-			}
-			got, gotErr = d.Feed(got, data[pos:end])
+		collect := func(b *Block) { got = appendBlock(got, b) }
+		for pos := 0; pos < len(data) && gotErr == nil; {
+			end := min(pos+1+rng.Intn(2*decodeMargin), len(data))
+			gotErr = d.FeedBlocks(data[pos:end], collect)
+			pos = end
 		}
 		if gotErr == nil {
 			gotErr = d.Close()
 		}
+		check("FeedBlocks", got, gotErr)
 
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("error divergence: mem=%v stream=%v", wantErr, gotErr)
-		}
-		if wantErr == nil {
-			if len(got) != len(want) {
-				t.Fatalf("decoded %d events, reference %d", len(got), len(want))
-			}
-		} else {
-			// Reference may have emitted one extra padding-built event.
-			if len(want)-len(got) > 1 || len(got) > len(want) {
-				t.Fatalf("on error: decoded %d events, reference %d", len(got), len(want))
+		r := NewReader(bytes.NewReader(data))
+		b := NewBlock(BlockLen)
+		var read []Event
+		for {
+			_, ok := r.NextBlock(b, 1+rng.Intn(BlockLen))
+			read = appendBlock(read, b)
+			if !ok {
+				break
 			}
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("event %d: stream %+v, reference %+v", i, got[i], want[i])
-			}
-		}
+		check("Reader", read, r.Err())
 	})
 }

@@ -120,9 +120,6 @@ func (s *SliceSource) Next() (Event, bool) {
 // Err implements Source; a SliceSource never fails.
 func (s *SliceSource) Err() error { return nil }
 
-// Reset rewinds the source to the beginning of the slice.
-func (s *SliceSource) Reset() { s.pos = 0 }
-
 // SliceSink collects events into memory, for tests and small tools.
 type SliceSink struct {
 	Events []Event
@@ -137,7 +134,6 @@ func (s *SliceSink) Emit(ev Event) error {
 // Limit wraps a source and truncates it after n events.
 type Limit struct {
 	src  Source
-	bs   BatchSource // lazily initialised batch view of src
 	blks BlockSource // lazily initialised block view of src
 	n    int64
 }

@@ -77,11 +77,6 @@ func TestSliceSource(t *testing.T) {
 	if src.Err() != nil {
 		t.Errorf("unexpected error: %v", src.Err())
 	}
-
-	src.Reset()
-	if ev, ok := src.Next(); !ok || ev != evs[0] {
-		t.Errorf("after Reset, got %+v ok=%v, want first event", ev, ok)
-	}
 }
 
 func TestLimit(t *testing.T) {

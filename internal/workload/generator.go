@@ -54,9 +54,6 @@ func NewGenerator(seed int64) *Generator {
 	}
 }
 
-// RNG exposes the generator's seeded random source to behaviours.
-func (g *Generator) RNG() *rand.Rand { return g.rng }
-
 // Heap exposes the generator's data address space.
 func (g *Generator) Heap() *Heap { return g.heap }
 
@@ -94,42 +91,48 @@ func (g *Generator) ipBlock(slots int) uint32 {
 	return base
 }
 
+// refill runs one behaviour burst into the empty refill buffer. It
+// reports false once the generator has no behaviours (end of stream).
+func (g *Generator) refill() bool {
+	if g.total == 0 {
+		return false
+	}
+	g.buf = g.buf[:0]
+	g.pos = 0
+	g.pick().step(g)
+	return true
+}
+
 // Next implements trace.Source.
 func (g *Generator) Next() (trace.Event, bool) {
 	for g.pos >= len(g.buf) {
-		if g.total == 0 {
+		if !g.refill() {
 			return trace.Event{}, false
 		}
-		g.buf = g.buf[:0]
-		g.pos = 0
-		g.pick().step(g)
 	}
 	ev := g.buf[g.pos]
 	g.pos++
 	return ev, true
 }
 
-// NextBatch implements trace.BatchSource: it copies whole behaviour
-// bursts out of the refill buffer per call, so the hot replay loops pay
-// one call per burst instead of one interface dispatch per event.
-func (g *Generator) NextBatch(dst []trace.Event) (int, bool) {
-	if g.total == 0 {
-		return 0, false
-	}
-	var n int
-	for n < len(dst) {
+// NextBlock implements trace.BlockSource: it scatters behaviour bursts
+// from the refill buffer straight into the block's columns, running as
+// many bursts as it takes to fill max events.
+func (g *Generator) NextBlock(b *trace.Block, max int) (int, bool) {
+	b.Resize(max)
+	n := 0
+	for n < max {
 		if g.pos >= len(g.buf) {
-			if n > 0 {
-				// Batch boundary at a burst boundary: return what we have
-				// rather than paying a refill mid-call.
-				return n, true
+			if !g.refill() {
+				b.Resize(n)
+				return n, false
 			}
-			g.buf = g.buf[:0]
-			g.pos = 0
-			g.pick().step(g)
 			continue
 		}
-		c := copy(dst[n:], g.buf[g.pos:])
+		c := min(max-n, len(g.buf)-g.pos)
+		for i, ev := range g.buf[g.pos : g.pos+c] {
+			b.SetEvent(n+i, ev)
+		}
 		g.pos += c
 		n += c
 	}

@@ -209,7 +209,7 @@ func TestHeapAllocNodesShuffled(t *testing.T) {
 
 func TestHeapExhaustionPanics(t *testing.T) {
 	g := NewGenerator(3)
-	h := NewHeap(0x1000, 64, g.RNG())
+	h := NewHeap(0x1000, 64, g.rng)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic on heap exhaustion")
