@@ -143,11 +143,15 @@ var (
 type (
 	// Tournament is the N-way meta-predictor.
 	Tournament = tournament.Tournament
-	// TournamentConfig sizes the tournament's chooser.
+	// TournamentConfig sizes the tournament's load buffer and chooser.
 	TournamentConfig = tournament.Config
-	// TournamentComponent is one tournament entrant (Predict / Resolve /
-	// Squash with per-component opinions).
-	TournamentComponent = tournament.Component
+	// TournamentEntrant is one tournament entrant: per-load state in a
+	// column indexed by the tournament's load-buffer slot.
+	TournamentEntrant = predictor.Entrant
+	// SingleComponent is one entrant alone over a load buffer of its
+	// own, at component granularity (Predict / Resolve / Squash with
+	// the component's opinion).
+	SingleComponent = predictor.Single
 	// ComponentStat is one component's selection statistics.
 	ComponentStat = tournament.ComponentStat
 	// MarkovConfig configures the Markov stride-history component.
@@ -165,11 +169,13 @@ var (
 	NewFullTournament        = tournament.NewFull
 	NewPaperPairTournament   = tournament.NewPaperPair
 	NewTournamentComponent   = tournament.NewComponent
+	NewTournamentEntrant     = tournament.NewEntrant
 	TournamentComponentNames = tournament.ComponentNames
 	DefaultTournamentConfig  = tournament.DefaultConfig
-	NewStrideComponent       = predictor.NewStrideComponent
-	NewCAPComponent          = predictor.NewCAPComponent
-	NewLastComponent         = predictor.NewLastComponent
+	NewSingleComponent       = predictor.NewSingle
+	NewStrideEntrant         = predictor.NewStrideEntrant
+	NewCAPEntrant            = predictor.NewCAPEntrant
+	NewLastEntrant           = predictor.NewLastEntrant
 	NewMarkov                = tournament.NewMarkov
 	NewDelta2                = tournament.NewDelta2
 	NewCallPath              = tournament.NewCallPath

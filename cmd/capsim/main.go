@@ -8,11 +8,11 @@
 //	capsim -list
 //
 // By default each trace stream is materialised once into a compact
-// in-memory encoding and replayed across every experiment pass
-// (-replay-cache=false restores live regeneration; -cache-budget caps
-// the cache in MiB, -cache-stats reports its hit counts on exit).
-// Cached replay is bit-identical to regeneration, so results do not
-// depend on the flag.
+// in-memory encoding and replayed across every experiment pass.
+// -cache-budget caps the cache in MiB, and 0 disables it (live
+// regeneration), as for capserve; -cache-stats reports its hit counts
+// on exit. Cached replay is bit-identical to regeneration, so results
+// do not depend on the flag.
 //
 // Experiments: fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 update-policy
 // lt-size baselines control ablations profile-assist addr-vs-value
@@ -141,8 +141,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		workers  = fs.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines sharding each experiment's (trace, config) grid; 1 = serial")
 		retries  = fs.Int("retries", 0, "retries for transient trace-source failures")
 		inject   = fs.String("inject", "", "fault injection: trace=mode[,trace=mode] (modes: decode, truncate, panic)")
-		useCache = fs.Bool("replay-cache", true, "materialise each trace once and replay it across experiments")
-		budget   = fs.Int64("cache-budget", 512, "replay cache budget in MiB (0 = unlimited)")
+		budget   = fs.Int64("cache-budget", 512, "replay cache budget in MiB: each trace is materialised once and replayed across experiments (0 = disabled)")
 		cacheLog = fs.Bool("cache-stats", false, "print replay cache statistics to stderr on exit")
 		list     = fs.Bool("list", false, "list available experiments")
 		version  = fs.Bool("version", false, "print version and exit")
@@ -176,7 +175,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		SourceRetries:  *retries,
 		Ctx:            ctx,
 	}
-	if *useCache {
+	if *budget != 0 {
 		cfg.ReplayCache = capred.NewReplayCache(*budget << 20)
 	}
 	if err := parseInjections(&cfg, *inject); err != nil {

@@ -55,3 +55,30 @@ func TestVersionFlag(t *testing.T) {
 		t.Fatalf("-version output %q", stdout.String())
 	}
 }
+
+// TestCacheBudgetZeroDisablesCache pins -cache-budget 0 to mean
+// "disabled", as it does for capserve: the run regenerates its traces
+// live, so -cache-stats has no cache to report on, and the table is the
+// one a cached run prints.
+func TestCacheBudgetZeroDisablesCache(t *testing.T) {
+	sweep := func(budget string) (table, diag string) {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		args := []string{"-experiment", "fig9", "-events", "4000", "-cache-budget", budget, "-cache-stats"}
+		if code := run(context.Background(), args, &stdout, &stderr); code != 0 {
+			t.Fatalf("-cache-budget %s: exit %d: %s", budget, code, stderr.String())
+		}
+		return stdout.String(), stderr.String()
+	}
+	live, liveDiag := sweep("0")
+	if strings.Contains(liveDiag, "replay cache") {
+		t.Fatalf("-cache-budget 0 printed cache stats:\n%s", liveDiag)
+	}
+	cached, cachedDiag := sweep("64")
+	if !strings.Contains(cachedDiag, "replay cache") {
+		t.Fatalf("-cache-budget 64 -cache-stats printed no cache stats:\n%s", cachedDiag)
+	}
+	if live != cached {
+		t.Fatalf("live and cached tables differ:\nlive:\n%s\ncached:\n%s", live, cached)
+	}
+}

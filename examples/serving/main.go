@@ -15,7 +15,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -43,14 +42,6 @@ type sessionView struct {
 	Counters capred.Counters `json:"counters"`
 }
 
-// batchView mirrors the wire shape of POST /v1/sessions/{id}/events.
-type batchView struct {
-	Events   int64           `json:"events"`
-	Total    int64           `json:"total_events"`
-	Batches  int64           `json:"batches"`
-	Counters capred.Counters `json:"counters"`
-}
-
 // jobView mirrors the wire shape of GET /v1/jobs/{id}.
 type jobView struct {
 	ID          string `json:"id"`
@@ -60,101 +51,28 @@ type jobView struct {
 	Error       string `json:"error,omitempty"`
 }
 
-// apiClient is a capserve client that cooperates with the server's
-// backpressure: 429 replies are retried after the server's Retry-After
-// hint (bounded attempts), and oversized event batches (413) are split
-// and resent in halves. Sleeping is injectable so tests can assert the
-// waits without waiting.
-type apiClient struct {
-	hc       *http.Client
-	sleep    func(time.Duration)
-	maxTries int // attempts per request before giving up on 429s
+// newClient returns a capserve client that cooperates with the
+// server's backpressure: 429 replies are retried after the server's
+// Retry-After hint (bounded attempts), and oversized event batches
+// (413) are split and resent in halves.
+func newClient(base string) *load.Client {
+	return &load.Client{HC: http.DefaultClient, Base: base, MaxTries: 10, Now: time.Now, Sleep: time.Sleep}
 }
 
-func newClient() *apiClient {
-	return &apiClient{hc: http.DefaultClient, sleep: time.Sleep, maxTries: 10}
-}
-
-// retryAfter parses the server's Retry-After hint. An absent hint falls
-// back to half a second; a malformed one is an error — a client that
-// silently invents a backoff hides a broken server from the one party
-// positioned to notice.
-func retryAfter(resp *http.Response) (time.Duration, error) {
-	d, ok, err := load.ParseRetryAfter(resp.Header.Get("Retry-After"), time.Now())
-	if err != nil {
-		return 0, fmt.Errorf("%s: %w", resp.Request.URL, err)
+// stream posts the trace bytes to a session in chunk-sized POSTs, then
+// closes the session and returns its final view. Chunk boundaries are
+// arbitrary: the server buffers partial events across POSTs, so any
+// split of the byte stream yields the same counters.
+func stream(c *load.Client, id string, data []byte) (sessionView, error) {
+	for off := 0; off < len(data); off += chunk {
+		if _, _, err := c.PostEvents(id, data[off:min(off+chunk, len(data))]); err != nil {
+			return sessionView{}, err
+		}
 	}
-	if !ok {
-		return 500 * time.Millisecond, nil
-	}
-	return d, nil
-}
-
-// statusError is a non-2xx reply, keeping the code inspectable.
-type statusError struct {
-	status int
-	msg    string
-}
-
-func (e *statusError) Error() string { return e.msg }
-
-// call issues one request and decodes the JSON reply into out (when
-// non-nil). 429 responses are retried per the server's Retry-After;
-// any other non-2xx status fails with a *statusError.
-func (c *apiClient) call(method, url string, body []byte, out any) error {
-	var lastErr error
-	for try := 0; try < c.maxTries; try++ {
-		req, err := http.NewRequest(method, url, bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return err
-		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode == http.StatusTooManyRequests {
-			lastErr = &statusError{resp.StatusCode,
-				fmt.Sprintf("%s %s: %s: %s", method, url, resp.Status, bytes.TrimSpace(data))}
-			wait, err := retryAfter(resp)
-			if err != nil {
-				return err
-			}
-			c.sleep(wait)
-			continue
-		}
-		if resp.StatusCode/100 != 2 {
-			return &statusError{resp.StatusCode,
-				fmt.Sprintf("%s %s: %s: %s", method, url, resp.Status, bytes.TrimSpace(data))}
-		}
-		if out == nil {
-			return nil
-		}
-		return json.Unmarshal(data, out)
-	}
-	return fmt.Errorf("gave up after %d attempts: %w", c.maxTries, lastErr)
-}
-
-// postEvents streams one chunk of v3 trace bytes at a session,
-// splitting the chunk in half on 413 (the server buffers partial
-// events across POSTs, so any byte split yields the same counters).
-// The final batch reply of the sequence is decoded into out.
-func (c *apiClient) postEvents(url string, data []byte, out *batchView) error {
-	err := c.call("POST", url, data, out)
-	var se *statusError
-	if err == nil || !errors.As(err, &se) ||
-		se.status != http.StatusRequestEntityTooLarge || len(data) < 2 {
-		return err
-	}
-	half := len(data) / 2
-	if err := c.postEvents(url, data[:half], out); err != nil {
-		return err
-	}
-	return c.postEvents(url, data[half:], out)
+	// The DELETE reply carries the final counters.
+	var final sessionView
+	err := c.Do("DELETE", "/v1/sessions/"+id, nil, &final)
+	return final, err
 }
 
 // encodeTrace renders n events of the named trace in the v3 binary
@@ -195,36 +113,22 @@ func main() {
 	go srv.Serve(ln)
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("capserve listening on %s\n\n", ln.Addr())
-	c := newClient()
+	c := newClient(base)
 
-	// Open a session bound to the hybrid (stride + CAP) predictor.
-	body, _ := json.Marshal(map[string]any{"predictor": "hybrid"})
-	var sess sessionView
-	if err := c.call("POST", base+"/v1/sessions", body, &sess); err != nil {
+	// Open a session bound to the hybrid (stride + CAP) predictor and
+	// stream the trace through it.
+	id, err := c.OpenSession("hybrid", 0)
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("opened session %s (predictor=hybrid)\n", sess.ID)
-
-	// Stream the trace bytes in chunks. Chunk boundaries are arbitrary:
-	// the server buffers partial events across POSTs, so any split of the
-	// byte stream yields the same counters.
+	fmt.Printf("opened session %s (predictor=hybrid)\n", id)
 	data := encodeTrace(traceName, events)
-	var last batchView
-	for off := 0; off < len(data); off += chunk {
-		end := min(off+chunk, len(data))
-		url := base + "/v1/sessions/" + sess.ID + "/events"
-		if err := c.postEvents(url, data[off:end], &last); err != nil {
-			log.Fatal(err)
-		}
+	final, err := stream(c, id, data)
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("streamed %s: %d loads over %d batches\n",
-		traceName, last.Counters.Loads, last.Batches)
-
-	// Close the session; the DELETE reply carries the final counters.
-	var final sessionView
-	if err := c.call("DELETE", base+"/v1/sessions/"+sess.ID, nil, &final); err != nil {
-		log.Fatal(err)
-	}
+		traceName, final.Counters.Loads, final.Batches)
 
 	// The same events through the offline path must agree bit for bit:
 	// sessions and RunTrace share one per-event stepper.
@@ -249,20 +153,12 @@ func main() {
 	// components (stride, CAP, Markov, delta-delta, call-path) behind one
 	// meta-chooser. The wire contract is unchanged — and so is the
 	// bit-for-bit guarantee against the offline path.
-	body, _ = json.Marshal(map[string]any{"predictor": "tournament"})
-	var tsess sessionView
-	if err := c.call("POST", base+"/v1/sessions", body, &tsess); err != nil {
+	tid, err := c.OpenSession("tournament", 0)
+	if err != nil {
 		log.Fatal(err)
 	}
-	for off := 0; off < len(data); off += chunk {
-		end := min(off+chunk, len(data))
-		url := base + "/v1/sessions/" + tsess.ID + "/events"
-		if err := c.postEvents(url, data[off:end], &last); err != nil {
-			log.Fatal(err)
-		}
-	}
-	var tfinal sessionView
-	if err := c.call("DELETE", base+"/v1/sessions/"+tsess.ID, nil, &tfinal); err != nil {
+	tfinal, err := stream(c, tid, data)
+	if err != nil {
 		log.Fatal(err)
 	}
 	twant, err := capred.RunTrace(capred.Limit(spec.Open(), events), capred.NewFullTournament(false), 0)
@@ -293,15 +189,15 @@ func main() {
 
 	// Now the job queue: submit a registry experiment, poll until done,
 	// fetch the rendered table.
-	body, _ = json.Marshal(server.JobRequest{Experiment: "baselines"})
+	body, _ := json.Marshal(server.JobRequest{Experiment: "baselines"})
 	var job jobView
-	if err := c.call("POST", base+"/v1/jobs", body, &job); err != nil {
+	if err := c.Do("POST", "/v1/jobs", body, &job); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nsubmitted job %s (experiment=baselines)\n", job.ID)
 	for job.State == "queued" || job.State == "running" {
 		time.Sleep(100 * time.Millisecond)
-		if err := c.call("GET", base+"/v1/jobs/"+job.ID, nil, &job); err != nil {
+		if err := c.Do("GET", "/v1/jobs/"+job.ID, nil, &job); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -39,15 +38,13 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	cfg.MaxSessions = 1
 	base := startServer(t, cfg)
 
-	c := newClient()
-	body, _ := json.Marshal(map[string]any{"predictor": "hybrid"})
-	var first sessionView
-	if err := c.call("POST", base+"/v1/sessions", body, &first); err != nil {
+	c := newClient(base)
+	first, err := c.OpenSession("hybrid", 0)
+	if err != nil {
 		t.Fatalf("opening first session: %v", err)
 	}
 	// Feed the session a small valid batch so its close (drain) succeeds.
-	var bv batchView
-	if err := c.postEvents(base+"/v1/sessions/"+first.ID+"/events", encodeTrace(traceName, 100), &bv); err != nil {
+	if _, _, err := c.PostEvents(first, encodeTrace(traceName, 100)); err != nil {
 		t.Fatalf("priming first session: %v", err)
 	}
 
@@ -55,14 +52,13 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	// the server's hint and frees capacity by closing the first session,
 	// so the retry must then succeed.
 	var slept []time.Duration
-	c.sleep = func(d time.Duration) {
+	c.Sleep = func(d time.Duration) {
 		slept = append(slept, d)
-		if err := c.call("DELETE", base+"/v1/sessions/"+first.ID, nil, nil); err != nil {
+		if err := c.CloseSession(first); err != nil {
 			t.Errorf("closing first session: %v", err)
 		}
 	}
-	var second sessionView
-	if err := c.call("POST", base+"/v1/sessions", body, &second); err != nil {
+	if _, err := c.OpenSession("hybrid", 0); err != nil {
 		t.Fatalf("second session never admitted: %v", err)
 	}
 	if len(slept) == 0 {
@@ -75,23 +71,21 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 }
 
 // TestClientGivesUpAfterBudget: persistent 429s must end in an error
-// after maxTries, not an unbounded retry loop.
+// after MaxTries, not an unbounded retry loop.
 func TestClientGivesUpAfterBudget(t *testing.T) {
 	cfg := server.DefaultConfig()
 	cfg.MaxSessions = 1
 	base := startServer(t, cfg)
 
-	c := newClient()
-	body, _ := json.Marshal(map[string]any{"predictor": "hybrid"})
-	var first sessionView
-	if err := c.call("POST", base+"/v1/sessions", body, &first); err != nil {
+	c := newClient(base)
+	if _, err := c.OpenSession("hybrid", 0); err != nil {
 		t.Fatal(err)
 	}
 
-	c.maxTries = 3
+	c.MaxTries = 3
 	sleeps := 0
-	c.sleep = func(time.Duration) { sleeps++ } // capacity never frees
-	if err := c.call("POST", base+"/v1/sessions", body, nil); err == nil {
+	c.Sleep = func(time.Duration) { sleeps++ } // capacity never frees
+	if _, err := c.OpenSession("hybrid", 0); err == nil {
 		t.Fatal("expected an error once the retry budget was spent")
 	}
 	if sleeps != 3 {
@@ -110,10 +104,10 @@ func TestClientSurfacesMalformedRetryAfter(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := newClient()
+	c := newClient(ts.URL)
 	slept := 0
-	c.sleep = func(time.Duration) { slept++ }
-	err := c.call("POST", ts.URL+"/v1/sessions", nil, nil)
+	c.Sleep = func(time.Duration) { slept++ }
+	_, err := c.OpenSession("hybrid", 0)
 	if err == nil {
 		t.Fatal("expected an error for the malformed Retry-After header")
 	}
@@ -140,10 +134,10 @@ func TestClientAcceptsHTTPDateRetryAfter(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := newClient()
+	c := newClient(ts.URL)
 	var slept []time.Duration
-	c.sleep = func(d time.Duration) { slept = append(slept, d) }
-	if err := c.call("POST", ts.URL+"/v1/sessions", nil, nil); err != nil {
+	c.Sleep = func(d time.Duration) { slept = append(slept, d) }
+	if _, err := c.OpenSession("hybrid", 0); err != nil {
 		t.Fatalf("HTTP-date Retry-After must be honoured, got error: %v", err)
 	}
 	if len(slept) != 1 {
@@ -162,22 +156,13 @@ func TestTournamentSessionMatchesOffline(t *testing.T) {
 	const n = 20_000
 	base := startServer(t, server.DefaultConfig())
 
-	c := newClient()
-	body, _ := json.Marshal(map[string]any{"predictor": "tournament"})
-	var sess sessionView
-	if err := c.call("POST", base+"/v1/sessions", body, &sess); err != nil {
+	c := newClient(base)
+	id, err := c.OpenSession("tournament", 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := encodeTrace(traceName, n)
-	var last batchView
-	for off := 0; off < len(data); off += chunk {
-		end := min(off+chunk, len(data))
-		if err := c.postEvents(base+"/v1/sessions/"+sess.ID+"/events", data[off:end], &last); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var final sessionView
-	if err := c.call("DELETE", base+"/v1/sessions/"+sess.ID, nil, &final); err != nil {
+	final, err := stream(c, id, encodeTrace(traceName, n))
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -201,23 +186,25 @@ func TestClientSplitsOversizedBatch(t *testing.T) {
 	cfg.MaxBatchBytes = 512 // far below the test's chunk size
 	base := startServer(t, cfg)
 
-	c := newClient()
-	c.sleep = func(time.Duration) {}
-	body, _ := json.Marshal(map[string]any{"predictor": "hybrid"})
-	var sess sessionView
-	if err := c.call("POST", base+"/v1/sessions", body, &sess); err != nil {
+	c := newClient(base)
+	c.Sleep = func(time.Duration) {}
+	id, err := c.OpenSession("hybrid", 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	// One oversized chunk (the whole trace); postEvents must recurse
+	// One oversized chunk (the whole trace); PostEvents must recurse
 	// down to acceptable slices without dropping or reordering bytes.
-	data := encodeTrace(traceName, n)
-	var last batchView
-	if err := c.postEvents(base+"/v1/sessions/"+sess.ID+"/events", data, &last); err != nil {
+	splits := 0
+	c.On413 = func() { splits++ }
+	if _, _, err := c.PostEvents(id, encodeTrace(traceName, n)); err != nil {
 		t.Fatalf("streaming with splits: %v", err)
 	}
+	if splits == 0 {
+		t.Fatal("server never answered 413; the test exercises no split")
+	}
 	var final sessionView
-	if err := c.call("DELETE", base+"/v1/sessions/"+sess.ID, nil, &final); err != nil {
+	if err := c.Do("DELETE", "/v1/sessions/"+id, nil, &final); err != nil {
 		t.Fatal(err)
 	}
 

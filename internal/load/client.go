@@ -68,11 +68,12 @@ type Client struct {
 	On413 func()
 }
 
-// do issues one request and decodes the JSON reply into out (when
-// non-nil). 429s wait the server's Retry-After (an absent hint falls
-// back to 500ms; a malformed one is an error) and retry up to MaxTries;
-// other non-2xx statuses return a *StatusError.
-func (c *Client) do(method, url string, body []byte, out any) error {
+// Do issues one request for a path under Base and decodes the JSON
+// reply into out (when non-nil). 429s wait the server's Retry-After (an
+// absent hint falls back to 500ms; a malformed one is an error) and
+// retry up to MaxTries; other non-2xx statuses return a *StatusError.
+func (c *Client) Do(method, path string, body []byte, out any) error {
+	url := c.Base + path
 	var lastErr error
 	for try := 0; try < c.MaxTries; try++ {
 		req, err := http.NewRequest(method, url, bytes.NewReader(body))
@@ -135,7 +136,7 @@ func (c *Client) OpenSession(predictor string, gap int) (string, error) {
 		return "", err
 	}
 	var s sessionReply
-	if err := c.do("POST", c.Base+"/v1/sessions", body, &s); err != nil {
+	if err := c.Do("POST", "/v1/sessions", body, &s); err != nil {
 		return "", err
 	}
 	return s.ID, nil
@@ -149,7 +150,7 @@ func (c *Client) OpenSession(predictor string, gap int) (string, error) {
 // responses, not plan batches).
 func (c *Client) PostEvents(id string, data []byte) (acked int64, posts int, err error) {
 	var reply batchReply
-	err = c.do("POST", c.Base+"/v1/sessions/"+id+"/events", data, &reply)
+	err = c.Do("POST", "/v1/sessions/"+id+"/events", data, &reply)
 	if err == nil {
 		return reply.Events, 1, nil
 	}
@@ -171,7 +172,7 @@ func (c *Client) PostEvents(id string, data []byte) (acked int64, posts int, err
 
 // CloseSession finishes the session (drains the prediction gap).
 func (c *Client) CloseSession(id string) error {
-	return c.do("DELETE", c.Base+"/v1/sessions/"+id, nil, nil)
+	return c.Do("DELETE", "/v1/sessions/"+id, nil, nil)
 }
 
 // Scrape fetches and parses the server's /metrics page into a

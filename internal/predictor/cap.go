@@ -92,10 +92,15 @@ type capState struct {
 	poisoned  bool // misprediction in flight; suppress speculation (§5.2)
 }
 
-// capCore implements the CAP mechanism over external capState, so the
-// stand-alone CAP predictor and the hybrid share one implementation. The
-// link table lives here (it is global, not per-load).
+// capCore implements the CAP mechanism over a capState. The Hybrid
+// predictor holds one and passes the states of its own entries; as an
+// Entrant it keeps one state per LB slot in its column. The link table
+// lives here (it is global, not per-load). As an Entrant, Resolve always
+// updates the link table (§4.3 UpdateAlways, the paper's best policy);
+// the cross-component update policies remain a Hybrid-only refinement
+// because they need the other component's outcome.
 type capCore struct {
+	Slots[capState]
 	cfg     CAPConfig
 	lt      []ltEntry
 	pfTab   []pfEntry
@@ -343,91 +348,38 @@ func (c *capCore) squash(cs *capState) {
 	}
 }
 
-// CAPComponent is the CAP predictor packaged at component granularity
-// — per-load state in its own load buffer over the shared core and
-// global link table — for composition by the tournament meta-predictor.
-// Its Resolve always updates the link table (§4.3 UpdateAlways, the
-// paper's best policy); the cross-component update policies remain a
-// Hybrid-only refinement because they need the other component's
-// outcome.
-type CAPComponent struct {
-	core *capCore
-	lb   *LBTable[capState]
+// NewCAPEntrant builds the CAP entrant. The LB geometry fields of cfg
+// are not used: the composer's load buffer indexes the column.
+func NewCAPEntrant(cfg CAPConfig) Entrant { return newCAPCore(cfg) }
+
+func (c *capCore) ID() Component { return CompCAP }
+
+func (c *capCore) Name() string { return "cap" }
+
+func (c *capCore) Predict(slot int, ref LoadRef) ComponentPrediction {
+	return c.predict(&c.col[slot], ref)
 }
 
-// NewCAPComponent builds the CAP component.
-func NewCAPComponent(cfg CAPConfig) *CAPComponent {
-	return &CAPComponent{
-		core: newCAPCore(cfg),
-		lb:   NewLBTable[capState](cfg.LBEntries, cfg.LBWays),
-	}
+func (c *capCore) Resolve(slot int, ref LoadRef, cp ComponentPrediction, speculated bool, actual uint32) {
+	c.resolve(&c.col[slot], cp, speculated, ref, actual, true)
 }
 
-// ID identifies the component in Prediction.Selected.
-func (c *CAPComponent) ID() Component { return CompCAP }
-
-// Name returns the component's display name.
-func (c *CAPComponent) Name() string { return "cap" }
-
-// Predict computes the component's opinion for the load, advancing
-// speculative state in speculative mode. The LB entry is allocated at
-// prediction time so in-flight instance counts are exact in pipelined
-// mode.
-func (c *CAPComponent) Predict(ref LoadRef) ComponentPrediction {
-	cs, _ := c.lb.Insert(ref.IP)
-	return c.core.predict(cs, ref)
-}
-
-// Resolve verifies the component's opinion and updates history,
-// confidence and the link table.
-func (c *CAPComponent) Resolve(ref LoadRef, cp ComponentPrediction, speculated bool, actual uint32) {
-	cs, _ := c.lb.Insert(ref.IP)
-	c.core.resolve(cs, cp, speculated, ref, actual, true)
-}
-
-// Squash undoes Predict's in-flight bookkeeping for a flushed
-// prediction (§5.4 wrong-path recovery).
-func (c *CAPComponent) Squash(ref LoadRef, cp ComponentPrediction) {
-	if cs := c.lb.Lookup(ref.IP); cs != nil {
-		c.core.squash(cs)
-	}
+func (c *capCore) Squash(slot int, _ LoadRef, _ ComponentPrediction) {
+	c.squash(&c.col[slot])
 }
 
 // CAP is the stand-alone correlated context-based address predictor:
-// the component wrapped as a full Predictor.
+// the CAP entrant run as a full Predictor, plus the look-ahead of §5.4.
 type CAP struct {
-	comp *CAPComponent
+	Standalone
+	core *capCore
 }
 
-// NewCAP builds a CAP predictor.
+// NewCAP builds a CAP predictor over a cfg.LBEntries × cfg.LBWays load
+// buffer.
 func NewCAP(cfg CAPConfig) *CAP {
-	return &CAP{comp: NewCAPComponent(cfg)}
-}
-
-// Name implements Predictor.
-func (c *CAP) Name() string { return "cap" }
-
-// Predict implements Predictor.
-func (c *CAP) Predict(ref LoadRef) Prediction {
-	cp := c.comp.Predict(ref)
-	return Prediction{
-		Addr:      cp.Addr,
-		Predicted: cp.Predicted,
-		Speculate: cp.Confident,
-		Selected:  CompCAP,
-		CAP:       cp,
-	}
-}
-
-// Resolve implements Predictor.
-func (c *CAP) Resolve(ref LoadRef, p Prediction, actual uint32) {
-	c.comp.Resolve(ref, p.CAP, p.Speculate, actual)
-}
-
-// Squash implements Squasher: the prediction was made on a wrong path and
-// will never resolve.
-func (c *CAP) Squash(ref LoadRef, p Prediction) {
-	c.comp.Squash(ref, p.CAP)
+	core := newCAPCore(cfg)
+	return &CAP{Standalone{NewSingle(core, cfg.LBEntries, cfg.LBWays)}, core}
 }
 
 // PredictAhead follows the link-table chain n steps from the load's
@@ -439,11 +391,11 @@ func (c *CAP) Squash(ref LoadRef, p Prediction) {
 // first missing or tag-mismatching link. PredictAhead never mutates
 // predictor state.
 func (c *CAP) PredictAhead(ref LoadRef, n int) []uint32 {
-	core := c.comp.core
-	cs := c.comp.lb.Lookup(ref.IP)
-	if cs == nil {
+	slot := c.c.lb.Find(ref.IP)
+	if slot < 0 {
 		return nil
 	}
+	core, cs := c.core, c.core.At(slot)
 	hist := cs.hist
 	if core.cfg.Speculative && cs.specValid {
 		hist = cs.specHist

@@ -165,7 +165,7 @@ func FuzzHybridSelector(f *testing.F) {
 
 			ref := LoadRef{IP: ip, Offset: offset, GHR: ghr.Value(), Path: path.Value()}
 			selBefore := uint8(SelWeakCAP)
-			if e := h.lb.Lookup(ip); e != nil {
+			if e := lookup(h.lb, ip); e != nil {
 				selBefore = e.sel
 			}
 			p := h.Predict(ref)
@@ -177,7 +177,7 @@ func FuzzHybridSelector(f *testing.F) {
 			}
 			h.Resolve(ref, p, addr)
 
-			e := h.lb.Lookup(ip)
+			e := lookup(h.lb, ip)
 			if e == nil {
 				t.Fatal("LB entry vanished between Predict and Resolve")
 			}

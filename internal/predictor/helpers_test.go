@@ -88,3 +88,13 @@ func wantZero(t *testing.T, name string, got int) {
 		t.Errorf("%s = %d, want 0", name, got)
 	}
 }
+
+// stateOf returns the per-load state a stand-alone predictor keeps for
+// ip, or nil when ip holds no LB entry. T is the entrant's column type.
+func stateOf[T any](p *Standalone, ip uint32) *T {
+	i := p.c.lb.Find(ip)
+	if i < 0 {
+		return nil
+	}
+	return p.c.e.(interface{ At(int) *T }).At(i)
+}

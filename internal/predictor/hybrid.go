@@ -96,13 +96,20 @@ func NewHybrid(cfg HybridConfig) *Hybrid {
 // Name implements Predictor.
 func (h *Hybrid) Name() string { return "hybrid" }
 
-// Predict implements Predictor. The LB entry is allocated at prediction
-// time so that in-flight instance counts are exact in pipelined mode.
-func (h *Hybrid) Predict(ref LoadRef) Prediction {
-	e, existed := h.lb.Insert(ref.IP)
+// entry returns ip's LB entry, allocating it if absent.
+func (h *Hybrid) entry(ip uint32) *hybridEntry {
+	i, existed := h.lb.Alloc(ip)
+	e := h.lb.At(i)
 	if !existed {
 		e.sel = SelWeakCAP // initial bias towards weak CAP (§4.2)
 	}
+	return e
+}
+
+// Predict implements Predictor. The LB entry is allocated at prediction
+// time so that in-flight instance counts are exact in pipelined mode.
+func (h *Hybrid) Predict(ref LoadRef) Prediction {
+	e := h.entry(ref.IP)
 	scp := h.strideCore.predict(&e.stride, ref)
 	ccp := h.capCore.predict(&e.cap, ref)
 
@@ -138,10 +145,7 @@ func (h *Hybrid) selectCAP(sel uint8) bool {
 
 // Resolve implements Predictor.
 func (h *Hybrid) Resolve(ref LoadRef, p Prediction, actual uint32) {
-	e, existed := h.lb.Insert(ref.IP)
-	if !existed {
-		e.sel = SelWeakCAP // initial bias towards weak CAP (§4.2)
-	}
+	e := h.entry(ref.IP)
 
 	strideCorrect := p.Stride.Predicted && p.Stride.Addr == actual
 	capCorrect := p.CAP.Predicted && p.CAP.Addr == actual
@@ -173,10 +177,11 @@ func (h *Hybrid) Resolve(ref LoadRef, p Prediction, actual uint32) {
 // Squash implements Squasher: both components drop the flushed in-flight
 // prediction (§5.4 wrong-path recovery).
 func (h *Hybrid) Squash(ref LoadRef, p Prediction) {
-	e := h.lb.Lookup(ref.IP)
-	if e == nil {
+	i := h.lb.Find(ref.IP)
+	if i < 0 {
 		return
 	}
+	e := h.lb.At(i)
 	h.strideCore.squash(&e.stride)
 	h.capCore.squash(&e.cap)
 }

@@ -52,7 +52,7 @@ func TestHybridSelectorConverges(t *testing.T) {
 		pr := p.Predict(ref)
 		p.Resolve(ref, pr, uint32(0x200000+64*i))
 	}
-	e := p.lb.Lookup(ip)
+	e := lookup(p.lb, ip)
 	if e == nil {
 		t.Fatal("LB entry missing")
 	}
@@ -66,7 +66,7 @@ func TestHybridSelectorInitiallyWeakCAP(t *testing.T) {
 	ref := LoadRef{IP: 0x40}
 	pr := p.Predict(ref)
 	p.Resolve(ref, pr, 0x1000)
-	e := p.lb.Lookup(ref.IP)
+	e := lookup(p.lb, ref.IP)
 	if e == nil {
 		t.Fatal("LB entry missing")
 	}

@@ -21,31 +21,27 @@ type lastEntry struct {
 	conf uint8
 }
 
-// LastComponent is the last-address predictor at component granularity
-// for composition by the tournament meta-predictor. Predict reads the
-// architectural last address without mutating table contents, so the
-// component is sound under a prediction gap as well: there is simply no
+// lastEntrant is the last-address predictor as a tournament entrant.
+// Predict reads the architectural last address without mutating it, so
+// the entrant is sound under a prediction gap as well: there is no
 // speculative state to maintain or squash.
-type LastComponent struct {
+type lastEntrant struct {
+	Slots[lastEntry]
 	cfg LastConfig
-	lb  *LBTable[lastEntry]
 }
 
-// NewLastComponent builds the last-address component.
-func NewLastComponent(cfg LastConfig) *LastComponent {
-	return &LastComponent{cfg: cfg, lb: NewLBTable[lastEntry](cfg.Entries, cfg.Ways)}
-}
+// NewLastEntrant builds the last-address entrant. The LB geometry
+// fields of cfg are not used: the composer's load buffer indexes the
+// column.
+func NewLastEntrant(cfg LastConfig) Entrant { return &lastEntrant{cfg: cfg} }
 
-// ID identifies the component in Prediction.Selected.
-func (l *LastComponent) ID() Component { return CompLast }
+func (l *lastEntrant) ID() Component { return CompLast }
 
-// Name returns the component's display name.
-func (l *LastComponent) Name() string { return "last" }
+func (l *lastEntrant) Name() string { return "last" }
 
-// Predict computes the component's opinion for the load.
-func (l *LastComponent) Predict(ref LoadRef) ComponentPrediction {
-	e := l.lb.Lookup(ref.IP)
-	if e == nil || !e.have {
+func (l *lastEntrant) Predict(slot int, _ LoadRef) ComponentPrediction {
+	e := &l.col[slot]
+	if !e.have {
 		return ComponentPrediction{}
 	}
 	return ComponentPrediction{
@@ -56,8 +52,8 @@ func (l *LastComponent) Predict(ref LoadRef) ComponentPrediction {
 }
 
 // Resolve updates the last address and its confidence counter.
-func (l *LastComponent) Resolve(ref LoadRef, cp ComponentPrediction, speculated bool, actual uint32) {
-	e, _ := l.lb.Insert(ref.IP)
+func (l *lastEntrant) Resolve(slot int, _ LoadRef, _ ComponentPrediction, _ bool, actual uint32) {
+	e := &l.col[slot]
 	if e.have && e.last == actual {
 		e.conf = satInc(e.conf, l.cfg.ConfMax)
 	} else {
@@ -67,38 +63,10 @@ func (l *LastComponent) Resolve(ref LoadRef, cp ComponentPrediction, speculated 
 	e.have = true
 }
 
-// Squash is a no-op: Predict leaves no in-flight bookkeeping behind.
-func (l *LastComponent) Squash(ref LoadRef, cp ComponentPrediction) {}
+func (l *lastEntrant) Squash(int, LoadRef, ComponentPrediction) {}
 
-// Last is the last-address predictor: it speculates that a static load's
-// next address equals its previous one. It is the component wrapped as
-// a full Predictor.
-type Last struct {
-	comp *LastComponent
-}
-
-// NewLast builds a last-address predictor.
-func NewLast(cfg LastConfig) *Last {
-	return &Last{comp: NewLastComponent(cfg)}
-}
-
-// Name implements Predictor.
-func (l *Last) Name() string { return "last" }
-
-// Predict implements Predictor.
-func (l *Last) Predict(ref LoadRef) Prediction {
-	cp := l.comp.Predict(ref)
-	if !cp.Predicted {
-		return Prediction{}
-	}
-	return Prediction{
-		Addr:      cp.Addr,
-		Predicted: true,
-		Speculate: cp.Confident,
-	}
-}
-
-// Resolve implements Predictor.
-func (l *Last) Resolve(ref LoadRef, p Prediction, actual uint32) {
-	l.comp.Resolve(ref, ComponentPrediction{}, false, actual)
+// NewLast builds the last-address predictor: it speculates that a
+// static load's next address equals its previous one.
+func NewLast(cfg LastConfig) *Standalone {
+	return &Standalone{c: NewSingle(NewLastEntrant(cfg), cfg.Entries, cfg.Ways)}
 }

@@ -215,7 +215,7 @@ func TestSpecPendingCounterDrains(t *testing.T) {
 	p := NewCAP(cfg)
 	walk := listWalk(0x100, []uint32{0x1010, 0x8058, 0x4024, 0x20c8}, 8)
 	runGap(p, repeatSeq(walk, 20), 6)
-	cs := p.comp.lb.Lookup(0x100)
+	cs := stateOf[capState](&p.Standalone, 0x100)
 	if cs == nil {
 		t.Fatal("LB entry missing")
 	}
@@ -246,7 +246,7 @@ func TestSquashRestoresStrideConsistency(t *testing.T) {
 	p.Squash(ref, pr3)
 	p.Squash(ref, pr2)
 	p.Resolve(ref, pr1, 0x1000+8*10)
-	st := p.comp.lb.Lookup(ref.IP)
+	st := stateOf[strideState](p, ref.IP)
 	if st == nil {
 		t.Fatal("entry missing")
 	}
@@ -271,7 +271,7 @@ func TestSquashRestoresCAPConsistency(t *testing.T) {
 	pr1 := p.Predict(ref)
 	pr2 := p.Predict(ref)
 	p.Squash(ref, pr2)
-	cs := p.comp.lb.Lookup(ref.IP)
+	cs := stateOf[capState](&p.Standalone, ref.IP)
 	if cs == nil {
 		t.Fatal("entry missing")
 	}
@@ -301,7 +301,7 @@ func TestHybridSquash(t *testing.T) {
 	}
 	pr := p.Predict(ref)
 	p.Squash(ref, pr)
-	e := p.lb.Lookup(ref.IP)
+	e := lookup(p.lb, ref.IP)
 	if e == nil {
 		t.Fatal("entry missing")
 	}

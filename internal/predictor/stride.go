@@ -60,9 +60,11 @@ type strideState struct {
 	specValid bool
 }
 
-// strideCore implements prediction/resolution over a strideState; the
-// stand-alone Stride predictor and the Hybrid predictor both embed it.
+// strideCore implements prediction/resolution over a strideState. The
+// Hybrid predictor embeds it and passes the states of its own entries;
+// as an Entrant it keeps one state per LB slot in its column.
 type strideCore struct {
+	Slots[strideState]
 	cfg StrideConfig
 }
 
@@ -179,91 +181,33 @@ func (c *strideCore) squash(st *strideState) {
 	}
 }
 
-// StrideComponent is the stride predictor packaged at component
-// granularity — per-load state in its own load buffer over the shared
-// core — for composition by the tournament meta-predictor
-// (internal/predictor/tournament). The stand-alone Stride predictor is
-// the same component wrapped as a full Predictor.
-type StrideComponent struct {
-	core strideCore
-	lb   *LBTable[strideState]
-}
+// NewStrideEntrant builds the stride entrant. The LB geometry fields of
+// cfg are not used: the composer's load buffer indexes the column.
+func NewStrideEntrant(cfg StrideConfig) Entrant { return &strideCore{cfg: cfg} }
 
-// NewStrideComponent builds the stride component.
-func NewStrideComponent(cfg StrideConfig) *StrideComponent {
-	return &StrideComponent{
-		core: strideCore{cfg: cfg},
-		lb:   NewLBTable[strideState](cfg.Entries, cfg.Ways),
-	}
-}
+func (c *strideCore) ID() Component { return CompStride }
 
-// ID identifies the component in Prediction.Selected.
-func (s *StrideComponent) ID() Component { return CompStride }
-
-// Name returns the component's display name.
-func (s *StrideComponent) Name() string {
-	if s.core.cfg.Interval || s.core.cfg.CF.enabled() {
+func (c *strideCore) Name() string {
+	if c.cfg.Interval || c.cfg.CF.enabled() {
 		return "stride+"
 	}
 	return "stride"
 }
 
-// Predict computes the component's opinion for the load, advancing
-// speculative state in speculative mode. The LB entry is allocated at
-// prediction time so in-flight instance counts are exact in pipelined
-// mode.
-func (s *StrideComponent) Predict(ref LoadRef) ComponentPrediction {
-	st, _ := s.lb.Insert(ref.IP)
-	return s.core.predict(st, ref)
+func (c *strideCore) Predict(slot int, ref LoadRef) ComponentPrediction {
+	return c.predict(&c.col[slot], ref)
 }
 
-// Resolve verifies the component's opinion and updates its tables.
-func (s *StrideComponent) Resolve(ref LoadRef, cp ComponentPrediction, speculated bool, actual uint32) {
-	st, _ := s.lb.Insert(ref.IP)
-	s.core.resolve(st, cp, speculated, ref, actual)
+func (c *strideCore) Resolve(slot int, ref LoadRef, cp ComponentPrediction, speculated bool, actual uint32) {
+	c.resolve(&c.col[slot], cp, speculated, ref, actual)
 }
 
-// Squash undoes Predict's in-flight bookkeeping for a flushed
-// prediction (§5.4 wrong-path recovery).
-func (s *StrideComponent) Squash(ref LoadRef, cp ComponentPrediction) {
-	if st := s.lb.Lookup(ref.IP); st != nil {
-		s.core.squash(st)
-	}
+func (c *strideCore) Squash(slot int, _ LoadRef, _ ComponentPrediction) {
+	c.squash(&c.col[slot])
 }
 
-// Stride is the stand-alone stride predictor: the component wrapped as
-// a full Predictor.
-type Stride struct {
-	comp *StrideComponent
-}
-
-// NewStride builds a stride predictor.
-func NewStride(cfg StrideConfig) *Stride {
-	return &Stride{comp: NewStrideComponent(cfg)}
-}
-
-// Name implements Predictor.
-func (s *Stride) Name() string { return s.comp.Name() }
-
-// Predict implements Predictor.
-func (s *Stride) Predict(ref LoadRef) Prediction {
-	cp := s.comp.Predict(ref)
-	return Prediction{
-		Addr:      cp.Addr,
-		Predicted: cp.Predicted,
-		Speculate: cp.Confident,
-		Selected:  CompStride,
-		Stride:    cp,
-	}
-}
-
-// Resolve implements Predictor.
-func (s *Stride) Resolve(ref LoadRef, p Prediction, actual uint32) {
-	s.comp.Resolve(ref, p.Stride, p.Speculate, actual)
-}
-
-// Squash implements Squasher: the prediction was made on a wrong path and
-// will never resolve.
-func (s *Stride) Squash(ref LoadRef, p Prediction) {
-	s.comp.Squash(ref, p.Stride)
+// NewStride builds the stand-alone stride predictor over a
+// cfg.Entries × cfg.Ways load buffer.
+func NewStride(cfg StrideConfig) *Standalone {
+	return &Standalone{c: NewSingle(NewStrideEntrant(cfg), cfg.Entries, cfg.Ways)}
 }

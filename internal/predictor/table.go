@@ -1,11 +1,10 @@
 package predictor
 
 // LBTable is a generic set-associative table indexed and tagged by static
-// instruction address, with true-LRU replacement inside each set. All the
-// load buffers in this package (last-address, stride, CAP, hybrid) are
-// instances of it. It is exported so composing packages — the tournament
-// meta-predictor's chooser table — share the exact allocation and LRU
-// discipline of the in-package load buffers.
+// instruction address, with true-LRU replacement inside each set. There
+// are three load buffers in the module, all instances of it: the
+// hybrid's, Single's (one entrant alone) and the tournament's (N
+// entrants sharing one). It is exported for the tournament package.
 type LBTable[T any] struct {
 	sets     int
 	ways     int
@@ -49,23 +48,27 @@ func (t *LBTable[T]) tag(ip uint32) uint32 {
 	return ip >> t.tagShift
 }
 
-// Lookup returns the entry for ip, or nil on a miss. A hit refreshes LRU.
-func (t *LBTable[T]) Lookup(ip uint32) *T {
+// Find returns the slot index of ip's entry, or -1 on a miss. A hit
+// refreshes LRU. Slot indices are stable while the entry is resident,
+// so a composer can keep per-load state in columns of its own indexed
+// by them (see Entrant).
+func (t *LBTable[T]) Find(ip uint32) int {
 	base := t.set(ip) * t.ways
 	tag := t.tag(ip)
 	for i := base; i < base+t.ways; i++ {
 		s := &t.slots[i]
 		if s.valid && s.tag == tag {
 			t.touch(base, i)
-			return &s.val
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
-// Insert returns the entry for ip, allocating (and evicting the LRU way)
-// if absent. The second result is true when the entry already existed.
-func (t *LBTable[T]) Insert(ip uint32) (*T, bool) {
+// Alloc returns the slot index of ip's entry, allocating (and evicting
+// the LRU way) if absent; existed is true when the entry was resident.
+// A newly allocated slot's value is zeroed.
+func (t *LBTable[T]) Alloc(ip uint32) (slot int, existed bool) {
 	base := t.set(ip) * t.ways
 	tag := t.tag(ip)
 	victim := base
@@ -73,7 +76,7 @@ func (t *LBTable[T]) Insert(ip uint32) (*T, bool) {
 		s := &t.slots[i]
 		if s.valid && s.tag == tag {
 			t.touch(base, i)
-			return &s.val, true
+			return i, true
 		}
 		if !s.valid {
 			victim = i
@@ -87,8 +90,11 @@ func (t *LBTable[T]) Insert(ip uint32) (*T, bool) {
 	s.tag = tag
 	s.val = zero
 	t.touch(base, victim)
-	return &s.val, false
+	return victim, false
 }
+
+// At returns the value held in a slot.
+func (t *LBTable[T]) At(slot int) *T { return &t.slots[slot].val }
 
 // touch marks slot i most recently used within its set.
 func (t *LBTable[T]) touch(base, i int) {
@@ -100,5 +106,5 @@ func (t *LBTable[T]) touch(base, i int) {
 	t.slots[i].age = 0
 }
 
-// entries returns the table capacity.
+// Entries returns the table capacity.
 func (t *LBTable[T]) Entries() int { return t.sets * t.ways }

@@ -5,25 +5,40 @@ import (
 	"testing/quick"
 )
 
+// lookup returns ip's entry, or nil on a miss.
+func lookup[T any](t *LBTable[T], ip uint32) *T {
+	if i := t.Find(ip); i >= 0 {
+		return t.At(i)
+	}
+	return nil
+}
+
+// insert returns ip's entry, allocating it if absent, and whether it
+// already existed.
+func insert[T any](t *LBTable[T], ip uint32) (*T, bool) {
+	i, existed := t.Alloc(ip)
+	return t.At(i), existed
+}
+
 func TestLBTableLookupMiss(t *testing.T) {
 	tb := NewLBTable[int](16, 2)
-	if tb.Lookup(0x1000) != nil {
+	if lookup(tb, 0x1000) != nil {
 		t.Error("lookup on empty table should miss")
 	}
 }
 
 func TestLBTableInsertAndLookup(t *testing.T) {
 	tb := NewLBTable[int](16, 2)
-	v, existed := tb.Insert(0x1000)
+	v, existed := insert(tb, 0x1000)
 	if existed {
 		t.Error("first insert should not report existing")
 	}
 	*v = 42
-	got := tb.Lookup(0x1000)
+	got := lookup(tb, 0x1000)
 	if got == nil || *got != 42 {
 		t.Fatalf("lookup after insert = %v, want 42", got)
 	}
-	v2, existed := tb.Insert(0x1000)
+	v2, existed := insert(tb, 0x1000)
 	if !existed || *v2 != 42 {
 		t.Error("second insert should find the existing entry")
 	}
@@ -33,35 +48,35 @@ func TestLBTableLRUEviction(t *testing.T) {
 	// 4 entries, 2 ways -> 2 sets. IPs in the same set: set bits are
 	// (ip>>2)&1, so ip=0, 8, 16 share set 0.
 	tb := NewLBTable[int](4, 2)
-	a, _ := tb.Insert(0)
+	a, _ := insert(tb, 0)
 	*a = 1
-	b, _ := tb.Insert(8)
+	b, _ := insert(tb, 8)
 	*b = 2
 	// Touch 0 so 8 becomes LRU.
-	if tb.Lookup(0) == nil {
+	if lookup(tb, 0) == nil {
 		t.Fatal("entry 0 vanished")
 	}
-	c, _ := tb.Insert(16)
+	c, _ := insert(tb, 16)
 	*c = 3
-	if tb.Lookup(8) != nil {
+	if lookup(tb, 8) != nil {
 		t.Error("LRU entry (ip 8) should have been evicted")
 	}
-	if got := tb.Lookup(0); got == nil || *got != 1 {
+	if got := lookup(tb, 0); got == nil || *got != 1 {
 		t.Error("MRU entry (ip 0) should have survived")
 	}
-	if got := tb.Lookup(16); got == nil || *got != 3 {
+	if got := lookup(tb, 16); got == nil || *got != 3 {
 		t.Error("new entry (ip 16) missing")
 	}
 }
 
 func TestLBTableEvictedEntryIsZeroed(t *testing.T) {
 	tb := NewLBTable[int](2, 2)
-	a, _ := tb.Insert(0)
+	a, _ := insert(tb, 0)
 	*a = 7
-	b, _ := tb.Insert(8)
+	b, _ := insert(tb, 8)
 	*b = 8
 	// Set is full; inserting a third evicts LRU (ip 0).
-	c, existed := tb.Insert(16)
+	c, existed := insert(tb, 16)
 	if existed {
 		t.Error("insert after eviction should report new entry")
 	}
@@ -72,12 +87,12 @@ func TestLBTableEvictedEntryIsZeroed(t *testing.T) {
 
 func TestLBTableDirectMapped(t *testing.T) {
 	tb := NewLBTable[int](4, 1)
-	v, _ := tb.Insert(0x100)
+	v, _ := insert(tb, 0x100)
 	*v = 5
 	// 0x100>>2 = 0x40, set = 0x40 & 3 = 0; conflicting ip maps same set:
 	conflict := uint32(0x100 + 4*4) // next multiple landing in set 0
-	tb.Insert(conflict)
-	if tb.Lookup(0x100) != nil {
+	insert(tb, conflict)
+	if lookup(tb, 0x100) != nil {
 		t.Error("direct-mapped conflict should evict")
 	}
 }
@@ -102,13 +117,13 @@ func TestLBTableNoFalseHits(t *testing.T) {
 		tb := NewLBTable[uint32](64, 2)
 		written := make(map[uint32]uint32)
 		for _, ip := range ips {
-			v, _ := tb.Insert(ip)
+			v, _ := insert(tb, ip)
 			*v = ip
 			written[ip] = ip
 		}
 		// Any hit must return the value written for exactly that IP.
 		for ip := range written {
-			if got := tb.Lookup(ip); got != nil && *got != ip {
+			if got := lookup(tb, ip); got != nil && *got != ip {
 				return false
 			}
 		}

@@ -27,7 +27,6 @@ type CallPathConfig struct {
 	PathBits      int
 	ConfMax       uint8
 	ConfThreshold uint8
-	Speculative   bool // accepted for symmetry; Predict is read-only either way
 }
 
 // DefaultCallPathConfig matches the §3.6 table budget with last-4
@@ -47,11 +46,13 @@ type cpathEntry struct {
 	valid bool
 }
 
-// CallPath is the call-path-context component. It keeps no per-load
-// state and Predict never mutates the table, so the component is sound
-// under a prediction gap without any speculative machinery: there is
-// nothing to repair and nothing to squash.
+// CallPath is the call-path-context entrant. It keeps no per-load state
+// (its column holds empty values and it ignores its LB slot) and
+// Predict never mutates the table, so the entrant is sound under a
+// prediction gap without any speculative machinery: there is nothing to
+// repair and nothing to squash.
 type CallPath struct {
+	predictor.Slots[struct{}]
 	cfg     CallPathConfig
 	tab     []cpathEntry
 	idxBits uint
@@ -59,7 +60,7 @@ type CallPath struct {
 	tagMsk  uint32
 }
 
-// NewCallPath builds the call-path-context component.
+// NewCallPath builds the call-path-context entrant.
 func NewCallPath(cfg CallPathConfig) *CallPath {
 	checkPow2("call-path table entries", cfg.TableEntries)
 	if cfg.TagBits > 16 {
@@ -91,7 +92,7 @@ func (c *CallPath) split(h uint32) (idx int, tag uint16) {
 }
 
 // Predict computes the component's opinion; it never mutates state.
-func (c *CallPath) Predict(ref predictor.LoadRef) predictor.ComponentPrediction {
+func (c *CallPath) Predict(_ int, ref predictor.LoadRef) predictor.ComponentPrediction {
 	idx, tag := c.split(c.hash(ref))
 	e := &c.tab[idx]
 	if !e.valid || (c.cfg.TagBits > 0 && e.tag != tag) {
@@ -107,7 +108,7 @@ func (c *CallPath) Predict(ref predictor.LoadRef) predictor.ComponentPrediction 
 // Resolve trains the correlation table: a matching context builds
 // confidence on repeats and records the newest address; a conflicting
 // context takes the entry over with confidence reset.
-func (c *CallPath) Resolve(ref predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, actual uint32) {
+func (c *CallPath) Resolve(_ int, ref predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, actual uint32) {
 	idx, tag := c.split(c.hash(ref))
 	e := &c.tab[idx]
 	if e.valid && (c.cfg.TagBits == 0 || e.tag == tag) && e.addr == actual {
@@ -119,4 +120,4 @@ func (c *CallPath) Resolve(ref predictor.LoadRef, cp predictor.ComponentPredicti
 }
 
 // Squash is a no-op: Predict leaves no in-flight bookkeeping behind.
-func (c *CallPath) Squash(ref predictor.LoadRef, cp predictor.ComponentPrediction) {}
+func (c *CallPath) Squash(int, predictor.LoadRef, predictor.ComponentPrediction) {}

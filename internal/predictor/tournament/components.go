@@ -6,7 +6,7 @@ import (
 	"capred/internal/predictor"
 )
 
-// ComponentNames lists every component NewComponent can build, in
+// ComponentNames lists every component NewEntrant can build, in
 // canonical order. capserve validates session configs against this
 // list and pre-registers /metrics series from it.
 func ComponentNames() []string {
@@ -19,22 +19,22 @@ func DefaultComponents() []string {
 	return []string{"stride", "cap", "markov", "delta2", "callpath"}
 }
 
-// NewComponent builds the named component with its default
-// configuration for the given discipline. The names are the components'
-// own Name() values — one open namespace shared with the
-// predictor.Component table, not a parallel enum.
-func NewComponent(name string, speculative bool) (Component, error) {
+// NewEntrant builds the named entrant with its default configuration
+// for the given discipline. The names are the entrants' own Name()
+// values — one open namespace shared with the predictor.Component
+// table, not a parallel enum.
+func NewEntrant(name string, speculative bool) (predictor.Entrant, error) {
 	switch name {
 	case "stride":
 		cfg := predictor.DefaultStrideConfig()
 		cfg.Speculative = speculative
-		return predictor.NewStrideComponent(cfg), nil
+		return predictor.NewStrideEntrant(cfg), nil
 	case "cap":
 		cfg := predictor.DefaultCAPConfig()
 		cfg.Speculative = speculative
-		return predictor.NewCAPComponent(cfg), nil
+		return predictor.NewCAPEntrant(cfg), nil
 	case "last":
-		return predictor.NewLastComponent(predictor.DefaultLastConfig()), nil
+		return predictor.NewLastEntrant(predictor.DefaultLastConfig()), nil
 	case "markov":
 		cfg := DefaultMarkovConfig()
 		cfg.Speculative = speculative
@@ -44,20 +44,28 @@ func NewComponent(name string, speculative bool) (Component, error) {
 		cfg.Speculative = speculative
 		return NewDelta2(cfg), nil
 	case "callpath":
-		cfg := DefaultCallPathConfig()
-		cfg.Speculative = speculative
-		return NewCallPath(cfg), nil
+		return NewCallPath(DefaultCallPathConfig()), nil
 	}
 	return nil, fmt.Errorf("tournament: unknown component %q", name)
 }
 
-// NewNamed builds a tournament over the named components in order,
-// each with its default configuration.
+// NewComponent builds the named entrant alone, at component
+// granularity, over a load buffer of the default tournament geometry.
+func NewComponent(name string, speculative bool) (*predictor.Single, error) {
+	e, err := NewEntrant(name, speculative)
+	if err != nil {
+		return nil, err
+	}
+	cfg := DefaultConfig()
+	return predictor.NewSingle(e, cfg.Entries, cfg.Ways), nil
+}
+
+// NewNamed builds a tournament over the named entrants in order, each
+// with its default configuration.
 func NewNamed(cfg Config, speculative bool, names ...string) (*Tournament, error) {
-	cfg.Speculative = speculative
-	comps := make([]Component, 0, len(names))
+	comps := make([]predictor.Entrant, 0, len(names))
 	for _, n := range names {
-		c, err := NewComponent(n, speculative)
+		c, err := NewEntrant(n, speculative)
 		if err != nil {
 			return nil, err
 		}
@@ -78,8 +86,8 @@ func NewFull(speculative bool) *Tournament {
 
 // NewPaperPair builds the two-way stride+CAP tournament that is
 // decision-identical to predictor.NewHybrid(DefaultHybridConfig()):
-// same component configurations, chooser geometry equal to the shared
-// load buffer, counter ceiling 3, and the (1,2) initial vector whose
+// same component configurations, load buffer geometry equal to the
+// hybrid's, counter ceiling 3, and the (1,2) initial vector whose
 // constant sum maps the counter pair 1:1 onto the hybrid's 2-bit
 // selector. FuzzTournamentSelector holds this equivalence down to
 // selector state and chosen component.

@@ -8,10 +8,11 @@ import (
 )
 
 // smallPair builds the hybrid and its two-way tournament replica over
-// deliberately tiny tables (64-entry LBs, 64-entry LT with 4-bit tags)
-// so fuzzed streams exercise collisions, evictions and selector
-// saturation quickly. Both sides get identical component
-// configurations.
+// deliberately tiny tables (a 64-entry LB, a 64-entry LT with 4-bit
+// tags) so streams over more static loads than the LB holds exercise
+// collisions, evictions and selector saturation quickly. Both sides get
+// identical component configurations; the tournament's one LB takes
+// the hybrid's geometry.
 func smallPair(speculative bool) (*predictor.Hybrid, *Tournament) {
 	hc := predictor.DefaultHybridConfig()
 	hc.CAP.LBEntries = 64
@@ -26,11 +27,10 @@ func smallPair(speculative bool) (*predictor.Hybrid, *Tournament) {
 	cc := hc.CAP
 	cc.Speculative = speculative
 	tour := New(Config{
-		Entries:     hc.CAP.LBEntries,
-		Ways:        hc.CAP.LBWays,
-		CounterMax:  3,
-		Speculative: speculative,
-	}, predictor.NewStrideComponent(sc), predictor.NewCAPComponent(cc))
+		Entries:    hc.CAP.LBEntries,
+		Ways:       hc.CAP.LBWays,
+		CounterMax: 3,
+	}, predictor.NewStrideEntrant(sc), predictor.NewCAPEntrant(cc))
 	return predictor.NewHybrid(hc), tour
 }
 
@@ -55,6 +55,13 @@ func FuzzTournamentSelector(f *testing.F) {
 		seed[i] = byte(i*61 + 7)
 	}
 	f.Add(seed)
+	// Four static loads that share one LB set of two ways: from the
+	// third step on, every load evicts another.
+	evict := make([]byte, 0, 150)
+	for i := 0; i < 30; i++ {
+		evict = append(evict, byte(i%4)*0x20, byte(i/4), byte(i*8), byte(i*37), byte(i*11))
+	}
+	f.Add(evict)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, gap := range []int{0, 4} {
 			h, tour := smallPair(gap > 0)
@@ -63,20 +70,20 @@ func FuzzTournamentSelector(f *testing.F) {
 			var ghr predictor.GHR
 			var path predictor.PathHist
 			in := data
-			for step := 0; len(in) >= 4; step++ {
-				// A tiny IP space (16 static loads) plus low-entropy
-				// addresses makes strides, repeats and collisions all
-				// common; two control bits drive history updates and one
-				// triggers a wrong-path squash.
-				ip := uint32(in[0]&0xF) * 4
+			for step := 0; len(in) >= 5; step++ {
+				// 256 static loads over the 64-entry LB force evictions,
+				// while low-entropy addresses make strides, repeats and
+				// collisions all common; two control bits drive history
+				// updates and one triggers a wrong-path squash.
+				ip := uint32(in[0]) * 4
 				addr := uint32(in[1])<<4 | uint32(in[2])
 				offset := int32(in[3] & 0x3F)
 				ghr.Update(in[3]&0x80 != 0)
 				if in[3]&0x40 != 0 {
 					path.Push(ip)
 				}
-				squash := in[0]&0x30 == 0x30
-				in = in[4:]
+				squash := in[4]&0x30 == 0x30
+				in = in[5:]
 
 				ref := predictor.LoadRef{IP: ip, Offset: offset, GHR: ghr.Value(), Path: path.Value()}
 				diffStep(t, step, gh.Process(ref, addr), gt.Process(ref, addr))
@@ -90,7 +97,7 @@ func FuzzTournamentSelector(f *testing.F) {
 			gt.Drain()
 			// The drained state must agree too: one more prediction per
 			// static load compares the post-drain tables.
-			for ip := uint32(0); ip < 16; ip++ {
+			for ip := uint32(0); ip < 256; ip++ {
 				ref := predictor.LoadRef{IP: ip * 4, GHR: ghr.Value(), Path: path.Value()}
 				diffStep(t, -1, gh.Process(ref, 0x1234), gt.Process(ref, 0x1234))
 			}
@@ -99,9 +106,10 @@ func FuzzTournamentSelector(f *testing.F) {
 }
 
 // TestPaperPairMatchesHybrid pins the equivalence deterministically on
-// a longer structured stream than fuzzing reaches, including a gap
-// deeper than the tournament's initial in-flight ring (so ring growth
-// is exercised) and periodic squashes.
+// a longer structured stream than fuzzing reaches: 256 static loads
+// over the 64-entry LB (so entries are evicted and re-allocated all the
+// time), a gap deeper than the tournament's initial in-flight ring (so
+// ring growth is exercised) and periodic squashes.
 func TestPaperPairMatchesHybrid(t *testing.T) {
 	for _, gap := range []int{0, 4, 40} {
 		h, tour := smallPair(gap > 0)
@@ -118,7 +126,7 @@ func TestPaperPairMatchesHybrid(t *testing.T) {
 		}
 		for step := 0; step < 20_000; step++ {
 			r := next()
-			ip := (r & 0x1F) * 4
+			ip := (r & 0xFF) * 4
 			var addr uint32
 			switch r >> 30 {
 			case 0: // strided

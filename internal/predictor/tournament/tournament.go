@@ -5,12 +5,17 @@
 // saturating counters arbitrates among the confident ones, with a
 // confidence-gated fallback order when none is confident.
 //
-// The components are the package predictor cores refactored behind the
-// Component interface (stride, CAP, last-address) plus three entrants
-// of their own: a Markov-N stride-history predictor, a delta-delta
+// The components are predictor.Entrant values: the package predictor
+// cores (stride, CAP, last-address) plus three entrants of this
+// package: a Markov-N stride-history predictor, a delta-delta
 // (acceleration) predictor, and a call-path-context predictor — the
 // latter re-casting §3.6's negative result as a specialist that only
 // has to win the loads it is good at, not the whole trace.
+//
+// As in the paper's hybrid, there is one load buffer. The tournament
+// probes it once per Predict, Resolve and Squash; each entry holds the
+// chooser counters, and the entry's slot index selects every entrant's
+// per-load state from that entrant's own column.
 //
 // Both resolution disciplines compose unchanged: immediate mode
 // (Predict then Resolve per load) and pipelined mode under
@@ -26,35 +31,16 @@ import (
 	"capred/internal/predictor"
 )
 
-// Component is one tournament entrant: a predictor operating at
-// component granularity. Predict computes the component's opinion for a
-// dynamic load (advancing speculative state when the component was
-// built speculative); Resolve verifies it against the actual address
-// and updates the component's tables; Squash undoes Predict's in-flight
-// bookkeeping for a flushed wrong-path prediction (§5.4, youngest
-// first). Resolutions arrive in prediction order, as under a pipeline
-// gap.
-type Component interface {
-	// ID identifies the component in Prediction.Selected.
-	ID() predictor.Component
-	// Name returns the display name used in tables and metrics labels.
-	Name() string
-	Predict(ref predictor.LoadRef) predictor.ComponentPrediction
-	Resolve(ref predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, actual uint32)
-	Squash(ref predictor.LoadRef, cp predictor.ComponentPrediction)
-}
-
 // MaxComponents bounds the entrant count so chooser entries stay a
 // fixed-size array (no per-entry allocation).
 const MaxComponents = 8
 
 // Config configures the meta-chooser. Component configuration lives
-// with the components themselves; the chooser only needs its table
-// geometry and counter shape.
+// with the components themselves; the tournament owns the load buffer
+// geometry and the counter shape.
 type Config struct {
-	// Entries/Ways is the chooser table geometry; to compose with a
-	// shared-LB mental model (and to match the hybrid exactly in the
-	// two-way case) it should equal the components' LB geometry.
+	// Entries/Ways is the geometry of the one load buffer, shared by the
+	// chooser and every entrant.
 	Entries int
 	Ways    int
 	// CounterMax is the per-component saturating-counter ceiling.
@@ -66,9 +52,6 @@ type Config struct {
 	// The order of descending initial counters (ties broken by
 	// component order) also fixes the confidence-gated fallback order.
 	Init []uint8
-	// Speculative records the discipline the components were built for;
-	// it does not change chooser behavior but is validated against use.
-	Speculative bool
 }
 
 // DefaultConfig mirrors the paper's load-buffer geometry (§4.2).
@@ -96,7 +79,7 @@ type ComponentStat struct {
 // predictor.Predictor and predictor.Squasher.
 type Tournament struct {
 	cfg   Config
-	comps []Component
+	comps []predictor.Entrant
 	ids   []predictor.Component
 	lb    *predictor.LBTable[chooserEntry]
 	init  [MaxComponents]uint8
@@ -113,12 +96,12 @@ type Tournament struct {
 	stats []ComponentStat
 }
 
-// New builds a tournament over the given components. Zero-valued
-// geometry fields of cfg take their DefaultConfig values. Components
-// must have distinct, non-none IDs; their speculative/immediate
-// discipline must match cfg.Speculative by construction (the caller
-// builds them).
-func New(cfg Config, comps ...Component) *Tournament {
+// New builds a tournament over the given entrants and sizes their
+// state columns to its load buffer. Zero-valued geometry fields of cfg
+// take their DefaultConfig values. Entrants must have distinct,
+// non-none IDs and are built for the discipline the tournament will be
+// driven in (speculative under a prediction gap).
+func New(cfg Config, comps ...predictor.Entrant) *Tournament {
 	if len(comps) == 0 {
 		panic("tournament: at least one component required")
 	}
@@ -149,6 +132,7 @@ func New(cfg Config, comps ...Component) *Tournament {
 			panic(fmt.Sprintf("tournament: duplicate component %s", id))
 		}
 		seen[id] = true
+		c.SetSlots(cfg.Entries)
 		t.ids = append(t.ids, id)
 		t.stats = append(t.stats, ComponentStat{Name: c.Name()})
 	}
@@ -190,9 +174,6 @@ func New(cfg Config, comps ...Component) *Tournament {
 
 // Name implements Predictor.
 func (t *Tournament) Name() string { return "tournament" }
-
-// Components returns the entrants in order.
-func (t *Tournament) Components() []Component { return t.comps }
 
 // ComponentStats returns a copy of the per-component selection ledger:
 // for each entrant, how many speculative accesses used its address and
@@ -254,22 +235,33 @@ func (t *Tournament) indexOf(id predictor.Component) int {
 	return -1
 }
 
+// slot returns ip's LB slot and chooser entry, allocating if absent. A
+// new entry starts from the initial counters, and every entrant's slot
+// is reset: the load it held before was evicted.
+func (t *Tournament) slot(ip uint32) (int, *chooserEntry) {
+	i, existed := t.lb.Alloc(ip)
+	e := t.lb.At(i)
+	if !existed {
+		e.ctr = t.init
+		for _, c := range t.comps {
+			c.Reset(i)
+		}
+	}
+	return i, e
+}
+
 // Predict implements Predictor. Every component produces an opinion;
 // among the confident ones the chooser picks the highest per-entry
 // counter (ties to the higher-preference component). With no confident
 // component, the highest-preference predicted address is reported
-// without speculation — the confidence-gated fallback. The chooser
-// entry is allocated at prediction time, like the components' LB
-// entries, so the two-way case stays in lockstep with the hybrid's
-// shared load buffer.
+// without speculation — the confidence-gated fallback. The entry is
+// allocated at prediction time, as the hybrid allocates its shared
+// entry, so in-flight instance counts are exact in pipelined mode.
 func (t *Tournament) Predict(ref predictor.LoadRef) predictor.Prediction {
-	e, existed := t.lb.Insert(ref.IP)
-	if !existed {
-		e.ctr = t.init
-	}
+	slot, e := t.slot(ref.IP)
 	ops := t.pushFlight()
 	for i, c := range t.comps {
-		ops[i] = c.Predict(ref)
+		ops[i] = c.Predict(slot, ref)
 	}
 
 	var p predictor.Prediction
@@ -330,10 +322,7 @@ func (t *Tournament) Resolve(ref predictor.LoadRef, p predictor.Prediction, actu
 		panic("tournament: Resolve without a matching Predict")
 	}
 	ops := t.popOldest()
-	e, existed := t.lb.Insert(ref.IP)
-	if !existed {
-		e.ctr = t.init
-	}
+	slot, e := t.slot(ref.IP)
 
 	npred, ncorrect := 0, 0
 	for i := range ops {
@@ -359,7 +348,7 @@ func (t *Tournament) Resolve(ref predictor.LoadRef, p predictor.Prediction, actu
 
 	chosen := t.indexOf(p.Selected)
 	for i, c := range t.comps {
-		c.Resolve(ref, ops[i], p.Speculate && i == chosen, actual)
+		c.Resolve(slot, ref, ops[i], p.Speculate && i == chosen, actual)
 	}
 	if p.Speculate && chosen >= 0 {
 		t.stats[chosen].Selected++
@@ -371,15 +360,16 @@ func (t *Tournament) Resolve(ref predictor.LoadRef, p predictor.Prediction, actu
 
 // Squash implements Squasher: the youngest in-flight prediction was
 // made on a wrong path and will never resolve (§5.4). The chooser
-// entry is looked up (not modified) to keep its LRU state in lockstep
-// with the components' load buffers.
+// counters are not modified; an entry evicted since its Predict has no
+// in-flight state left to undo.
 func (t *Tournament) Squash(ref predictor.LoadRef, p predictor.Prediction) {
 	if t.n == 0 {
 		return
 	}
-	t.lb.Lookup(ref.IP)
 	ops := t.popNewest()
-	for i, c := range t.comps {
-		c.Squash(ref, ops[i])
+	if slot := t.lb.Find(ref.IP); slot >= 0 {
+		for i, c := range t.comps {
+			c.Squash(slot, ref, ops[i])
+		}
 	}
 }

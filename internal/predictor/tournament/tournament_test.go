@@ -7,9 +7,16 @@ import (
 	"capred/internal/predictor"
 )
 
+// solo runs one entrant alone over a load buffer of the default
+// tournament geometry.
+func solo(e predictor.Entrant) *predictor.Single {
+	cfg := DefaultConfig()
+	return predictor.NewSingle(e, cfg.Entries, cfg.Ways)
+}
+
 // feed resolves one address through a component in immediate mode:
 // predict, then resolve with the actual, returning the prediction.
-func feed(c Component, ip, addr uint32) predictor.ComponentPrediction {
+func feed(c *predictor.Single, ip, addr uint32) predictor.ComponentPrediction {
 	ref := predictor.LoadRef{IP: ip}
 	cp := c.Predict(ref)
 	c.Resolve(ref, cp, false, addr)
@@ -18,7 +25,7 @@ func feed(c Component, ip, addr uint32) predictor.ComponentPrediction {
 
 func TestMarkovWarmupAndPattern(t *testing.T) {
 	cfg := DefaultMarkovConfig()
-	m := NewMarkov(cfg)
+	m := solo(NewMarkov(cfg))
 
 	// A repeating +8,+8,+120 stride pattern (array-of-structs walk).
 	strides := []uint32{8, 8, 120}
@@ -62,11 +69,11 @@ func TestMarkovWarmupAndPattern(t *testing.T) {
 // tag match turns cross-load pollution into a quiet miss.
 func TestMarkovTagRejectsAliases(t *testing.T) {
 	cfg := MarkovConfig{
-		Entries: 64, Ways: 2,
 		TableEntries: 16, TagBits: 8,
 		HistLen: 1, ConfMax: 3, ConfThreshold: 2,
 	}
 	m := NewMarkov(cfg)
+	s := predictor.NewSingle(m, 64, 2)
 
 	// Search stride space for an index collision with distinct tags,
 	// using the component's own hash so the test tracks the geometry.
@@ -88,10 +95,10 @@ outer:
 	// Load A trains: history(sA) → next stride sA (constant stride).
 	addr := uint32(0x1000)
 	for i := 0; i < 8; i++ {
-		feed(m, 0x10, addr)
+		feed(s, 0x10, addr)
 		addr += uint32(sA)
 	}
-	if cp := m.Predict(predictor.LoadRef{IP: 0x10}); !cp.Predicted {
+	if cp := s.Predict(predictor.LoadRef{IP: 0x10}); !cp.Predicted {
 		t.Fatalf("load A not predicting after training: %+v", cp)
 	}
 
@@ -101,10 +108,10 @@ outer:
 	// entry — and must get a miss (no prediction), not load A's stride.
 	addr = uint32(0x8000)
 	for i := 0; i < 2; i++ {
-		feed(m, 0x20, addr)
+		feed(s, 0x20, addr)
 		addr += uint32(sB)
 	}
-	cp := m.Predict(predictor.LoadRef{IP: 0x20})
+	cp := s.Predict(predictor.LoadRef{IP: 0x20})
 	if cp.Predicted {
 		t.Fatalf("tag failed to reject alias: load B predicted %+v (load A's entry)", cp)
 	}
@@ -113,6 +120,7 @@ outer:
 	// stride to load B — the pollution the tag exists to stop.
 	cfg.TagBits = 0
 	m = NewMarkov(cfg)
+	s = predictor.NewSingle(m, 64, 2)
 	// Geometry changed (tag bits folded out of the history); re-find a
 	// colliding pair by index only.
 	idxA, _ = m.split(m.advance(0, 64))
@@ -128,22 +136,22 @@ outer:
 	}
 	addr = 0x1000
 	for i := 0; i < 8; i++ {
-		feed(m, 0x10, addr)
+		feed(s, 0x10, addr)
 		addr += 64
 	}
 	addr = 0x8000
 	for i := 0; i < 2; i++ {
-		feed(m, 0x20, addr)
+		feed(s, 0x20, addr)
 		addr += uint32(sB)
 	}
-	cp = m.Predict(predictor.LoadRef{IP: 0x20})
+	cp = s.Predict(predictor.LoadRef{IP: 0x20})
 	if !cp.Predicted || cp.Addr != addr-uint32(sB)+64 {
 		t.Fatalf("untagged alias should serve load A's stride 64: %+v", cp)
 	}
 }
 
 func TestDelta2Quadratic(t *testing.T) {
-	d := NewDelta2(DefaultDelta2Config())
+	d := solo(NewDelta2(DefaultDelta2Config()))
 
 	// addr(n) = 4n² + 100: first difference 4(2n-1), second difference
 	// constant 8. A stride predictor never converges on this stream; the
@@ -184,7 +192,7 @@ func TestDelta2Quadratic(t *testing.T) {
 func TestDelta2SpeculativeCatchUp(t *testing.T) {
 	cfg := DefaultDelta2Config()
 	cfg.Speculative = true
-	d := NewDelta2(cfg)
+	d := solo(NewDelta2(cfg))
 	ref := predictor.LoadRef{IP: 0x80}
 	addrAt := func(n uint32) uint32 { return 8*n*n + 3*n }
 
@@ -205,15 +213,16 @@ func TestDelta2SpeculativeCatchUp(t *testing.T) {
 
 func TestCallPathContexts(t *testing.T) {
 	cfg := CallPathConfig{TableEntries: 64, TagBits: 8, PathBits: 12, ConfMax: 3, ConfThreshold: 2}
-	c := NewCallPath(cfg)
+	ent := NewCallPath(cfg)
+	c := solo(ent)
 
 	// One static load reached through two call paths returns two
 	// different addresses; the context keeps the entries apart (the
 	// §3.6 win case), provided the two hashes land on distinct indices.
 	refA := predictor.LoadRef{IP: 0x40, Path: 0x111}
 	refB := predictor.LoadRef{IP: 0x40, Path: 0x222}
-	idxA, _ := c.split(c.hash(refA))
-	idxB, _ := c.split(c.hash(refB))
+	idxA, _ := ent.split(ent.hash(refA))
+	idxB, _ := ent.split(ent.hash(refB))
 	if idxA == idxB {
 		t.Fatalf("test paths collide (idx %d); pick different path values", idxA)
 	}
@@ -234,15 +243,16 @@ func TestCallPathContexts(t *testing.T) {
 // hash after takeover → confidence restarts from zero.
 func TestCallPathHashCollisions(t *testing.T) {
 	cfg := CallPathConfig{TableEntries: 16, TagBits: 8, PathBits: 12, ConfMax: 3, ConfThreshold: 2}
-	c := NewCallPath(cfg)
+	ent := NewCallPath(cfg)
+	c := solo(ent)
 
 	refA := predictor.LoadRef{IP: 0x40, Path: 0}
-	idxA, tagA := c.split(c.hash(refA))
+	idxA, tagA := ent.split(ent.hash(refA))
 	var refB predictor.LoadRef
 	found := false
 	for p := uint32(1); p < 1<<uint(cfg.PathBits); p++ {
 		r := predictor.LoadRef{IP: 0x40, Path: p}
-		if idx, tag := c.split(c.hash(r)); idx == idxA && tag != tagA {
+		if idx, tag := ent.split(ent.hash(r)); idx == idxA && tag != tagA {
 			refB, found = r, true
 			break
 		}
@@ -270,7 +280,7 @@ func TestCallPathHashCollisions(t *testing.T) {
 	}
 }
 
-// scripted is a stub component for chooser unit tests: it replays a
+// scripted is a stub entrant for chooser unit tests: it replays a
 // fixed opinion and records what Resolve told it.
 type scripted struct {
 	id      predictor.Component
@@ -280,13 +290,15 @@ type scripted struct {
 
 func (s *scripted) ID() predictor.Component { return s.id }
 func (s *scripted) Name() string            { return s.id.String() }
-func (s *scripted) Predict(predictor.LoadRef) predictor.ComponentPrediction {
+func (s *scripted) SetSlots(int)            {}
+func (s *scripted) Reset(int)               {}
+func (s *scripted) Predict(int, predictor.LoadRef) predictor.ComponentPrediction {
 	return s.op
 }
-func (s *scripted) Resolve(_ predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, _ uint32) {
+func (s *scripted) Resolve(_ int, _ predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, _ uint32) {
 	s.gotSpec = append(s.gotSpec, speculated)
 }
-func (s *scripted) Squash(predictor.LoadRef, predictor.ComponentPrediction) {}
+func (s *scripted) Squash(int, predictor.LoadRef, predictor.ComponentPrediction) {}
 
 func TestChooserFallbackOrder(t *testing.T) {
 	// Three components, none confident: the chooser must fall back in
@@ -317,7 +329,7 @@ func TestChooserCounterArbitration(t *testing.T) {
 	// counters toward whichever is correct, and the pick follows.
 	a := &scripted{id: predictor.CompStride, op: predictor.ComponentPrediction{Addr: 1, Predicted: true, Confident: true}}
 	b := &scripted{id: predictor.CompCAP, op: predictor.ComponentPrediction{Addr: 2, Predicted: true, Confident: true}}
-	tour := New(Config{Entries: 16, Ways: 2, CounterMax: 3, Speculative: true}, a, b)
+	tour := New(Config{Entries: 16, Ways: 2, CounterMax: 3}, a, b)
 	ref := predictor.LoadRef{IP: 0x10}
 
 	// Default init biases CAP (1,2): first pick is CAP.
@@ -375,7 +387,7 @@ func TestChooserAgreementFreezesCounters(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	mk := func(id predictor.Component) Component { return &scripted{id: id} }
+	mk := func(id predictor.Component) predictor.Entrant { return &scripted{id: id} }
 	for name, fn := range map[string]func(){
 		"no components": func() { New(DefaultConfig()) },
 		"dup ids": func() {

@@ -199,7 +199,7 @@ func tournamentComponentLabels() []string {
 	names := tournament.ComponentNames()
 	out := make([]string, len(names))
 	for i, n := range names {
-		c, err := tournament.NewComponent(n, false)
+		c, err := tournament.NewEntrant(n, false)
 		if err != nil {
 			panic(err) // unreachable: ComponentNames lists buildable components
 		}

@@ -302,9 +302,11 @@ type Fig8Result struct {
 // Fig8 reproduces Figure 8: the distribution of selector-counter states
 // over dual-confident loads and the correct-selection rate.
 func Fig8(cfg Config) Fig8Result {
-	suites, avg, fails := runSuites(cfg, "hybrid", hybridFactory, 0)
-	r := Fig8Result{Suites: suites, Avg: avg}
-	r.absorb(len(workload.Traces()), fails)
+	var r Fig8Result
+	g := newGrid(cfg)
+	p := g.addSuitePass("hybrid", hybridFactory, 0)
+	r.absorb(g.size(), g.run())
+	r.Suites, r.Avg = p.merge()
 	return r
 }
 

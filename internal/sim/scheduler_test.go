@@ -12,6 +12,15 @@ import (
 	"capred/internal/workload"
 )
 
+// runAll runs one suite pass — every trace of the roster through a
+// fresh predictor from f — on its own grid, returning the per-trace runs
+// in roster order and the failures.
+func runAll(cfg Config, stage string, f Factory, gapDepth int) ([]traceRun, []TraceFailure) {
+	g := newGrid(cfg)
+	p := g.addSuitePass(stage, f, gapDepth)
+	return p.runs, g.run()
+}
+
 // TestSchedulerShardAttributionUnderWorkers injects two unrelated faults
 // into a parallel run: each must be attributed to exactly its own shard,
 // with every sibling surviving, no matter which worker hit it.
@@ -22,7 +31,7 @@ func TestSchedulerShardAttributionUnderWorkers(t *testing.T) {
 		WrapSource:     failSourceFor("INT_go", 2_000),
 		WrapFactory:    panicFactoryFor("CAD_cat"),
 	}
-	runs, fails := runAll(cfg, workload.Traces(), "test", hybridFactory, 0)
+	runs, fails := runAll(cfg, "test", hybridFactory, 0)
 	if len(fails) != 2 {
 		t.Fatalf("failures = %v, want exactly the two injected ones", fails)
 	}
@@ -75,7 +84,7 @@ func TestSchedulerNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := Config{EventsPerTrace: 2_000, Workers: 8}
 	for i := 0; i < 3; i++ {
-		if _, fails := runAll(cfg, workload.Traces(), "leak", hybridFactory, 0); len(fails) != 0 {
+		if _, fails := runAll(cfg, "leak", hybridFactory, 0); len(fails) != 0 {
 			t.Fatalf("clean run failed: %v", fails)
 		}
 	}
@@ -108,7 +117,7 @@ func TestSchedulerPromptCancellation(t *testing.T) {
 	}
 	time.AfterFunc(50*time.Millisecond, cancel)
 	start := time.Now()
-	runs, fails := runAll(cfg, workload.Traces(), "hang", hybridFactory, 0)
+	runs, fails := runAll(cfg, "hang", hybridFactory, 0)
 	elapsed := time.Since(start)
 	if elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v; hung workers were not unblocked promptly", elapsed)
@@ -144,7 +153,7 @@ func TestSchedulerFlakyOpenRetryUnderWorkers(t *testing.T) {
 	}
 
 	cfg := Config{EventsPerTrace: 5_000, Workers: 4, WrapSource: wrap, SourceRetries: 1}
-	runs, fails := runAll(cfg, workload.Traces(), "flaky", hybridFactory, 0)
+	runs, fails := runAll(cfg, "flaky", hybridFactory, 0)
 	if len(fails) != 0 {
 		t.Fatalf("transient opens not retried under workers: %v", fails)
 	}
@@ -160,7 +169,7 @@ func TestSchedulerFlakyOpenRetryUnderWorkers(t *testing.T) {
 	openers = map[string]func() trace.Source{}
 	mu.Unlock()
 	cfg.SourceRetries = 0
-	_, fails = runAll(cfg, workload.Traces(), "flaky", hybridFactory, 0)
+	_, fails = runAll(cfg, "flaky", hybridFactory, 0)
 	if len(fails) != len(workload.Traces()) {
 		t.Fatalf("failures = %d, want every trace without retries", len(fails))
 	}
@@ -172,14 +181,14 @@ func TestSchedulerFlakyOpenRetryUnderWorkers(t *testing.T) {
 // per-trace counters.
 func TestSchedulerDeterministicAcrossWorkerCounts(t *testing.T) {
 	base := Config{EventsPerTrace: 5_000}
-	ref, fails := runAll(base, workload.Traces(), "det", hybridFactory, 0)
+	ref, fails := runAll(base, "det", hybridFactory, 0)
 	if len(fails) != 0 {
 		t.Fatalf("serial reference failed: %v", fails)
 	}
 	for _, workers := range []int{2, 5, 64} {
 		cfg := base
 		cfg.Workers = workers
-		runs, fails := runAll(cfg, workload.Traces(), "det", hybridFactory, 0)
+		runs, fails := runAll(cfg, "det", hybridFactory, 0)
 		if len(fails) != 0 {
 			t.Fatalf("workers=%d failed: %v", workers, fails)
 		}
