@@ -10,6 +10,14 @@
 //     bytes per event. The cursor must beat the generator or the cache
 //     is pure memory overhead.
 //
+//   - predict: RunTrace throughput over warm replay cursors for the
+//     hybrid and the 5-way tournament.
+//
+//   - timing: cpu.Run (the §4.1 timing model) throughput over the same
+//     warm cursors, with no address prediction and with a speculative
+//     hybrid at gap 8, best of three — the layer the Fig. 12 sweeps
+//     spend their time in.
+//
 //   - sweep: wall-clock for a representative slice of the experiment
 //     roster (baselines, Fig. 9, Fig. 12, prefetch — the generator-bound
 //     and cpu-model-bound extremes) run streaming, then cached, then
@@ -21,18 +29,22 @@
 //	benchsweep [-events n] [-traces n] [-o file]
 //	benchsweep -gate BENCH_sweep.json [-gate-drop 0.10]
 //
-// Gate mode reruns only the drain benchmark and compares the fresh
-// warm-cursor throughput against the committed baseline's: a drop
-// beyond the tolerance exits nonzero, which is how CI makes the perf
-// trajectory an enforced invariant rather than an uploaded artifact.
+// Every report is stamped with the host it ran on (Go version,
+// GOMAXPROCS, CPU model). Gate mode reruns the drain, predict and
+// timing benchmarks (not the sweep) and compares the gated figures
+// against the committed baseline's: a drop beyond the tolerance exits
+// nonzero, which is how CI makes the perf trajectory an enforced
+// invariant rather than an uploaded artifact.
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"capred"
@@ -88,9 +100,29 @@ type predictReport struct {
 	TournamentVsHybrid float64 `json:"tournament_vs_hybrid"`
 }
 
+// timingReport measures the §4.1 timing model (cpu.Run) over warm
+// replay cursors, best of three passes per configuration. Both figures
+// are gated: cpu.Run is most of a Fig. 12 sweep's CPU time.
+type timingReport struct {
+	Traces         int     `json:"traces"`
+	EventsPerTrace int64   `json:"events_per_trace"`
+	NoPredMEvS     float64 `json:"nopred_mev_per_s"`
+	HybridGap8MEvS float64 `json:"hybrid_gap8_mev_per_s"`
+}
+
+// hostReport stamps the machine a ledger was measured on; numbers from
+// different hosts are not comparable.
+type hostReport struct {
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPUModel   string `json:"cpu_model"`
+}
+
 type report struct {
+	Host    hostReport    `json:"host"`
 	Drain   drainReport   `json:"drain"`
 	Predict predictReport `json:"predict"`
+	Timing  timingReport  `json:"timing"`
 	Sweep   sweepReport   `json:"sweep"`
 }
 
@@ -99,17 +131,19 @@ func main() {
 	events := fs.Int64("events", 400_000, "events per trace")
 	nTraces := fs.Int("traces", 8, "traces to drain-benchmark (0 = full roster)")
 	out := fs.String("o", "BENCH_sweep.json", "output file (- for stdout)")
-	gate := fs.String("gate", "", "baseline BENCH_sweep.json to gate against: rerun the drain benchmark and exit nonzero when warm-cursor throughput regresses past -gate-drop")
-	gateDrop := fs.Float64("gate-drop", 0.10, "fractional warm-cursor drain regression tolerated by -gate")
+	gate := fs.String("gate", "", "baseline BENCH_sweep.json to gate against: rerun the drain, predict and timing benchmarks and exit nonzero when a gated figure regresses past -gate-drop")
+	gateDrop := fs.Float64("gate-drop", 0.10, "fractional regression of a gated figure tolerated by -gate")
 	fs.Parse(os.Args[1:])
 
 	if *gate != "" {
-		os.Exit(gateDrain(*gate, *gateDrop, *events, *nTraces))
+		os.Exit(gateBaseline(*gate, *gateDrop, *events, *nTraces))
 	}
 
 	rep := report{
+		Host:    readHost(),
 		Drain:   drainBench(*events, *nTraces),
 		Predict: predictBench(*events, *nTraces),
+		Timing:  timingBench(*events, *nTraces),
 		Sweep:   sweepBench(*events),
 	}
 
@@ -127,21 +161,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchsweep:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("benchsweep: drain %.1f -> %.1f Mev/s (%.2fx), sweep %.1fs -> %.1fs warm (%.2fx), %.1fs at %d workers (%.2fx), wrote %s\n",
+	fmt.Printf("benchsweep: drain %.1f -> %.1f Mev/s (%.2fx), cpu.Run %.1f/%.1f Mev/s (none/hybrid gap 8), sweep %.1fs -> %.1fs warm (%.2fx), %.1fs at %d workers (%.2fx), wrote %s\n",
 		rep.Drain.GeneratorMEvS, rep.Drain.WarmCursorMEvS, rep.Drain.CursorVsGenerator,
+		rep.Timing.NoPredMEvS, rep.Timing.HybridGap8MEvS,
 		rep.Sweep.StreamingSeconds, rep.Sweep.CachedWarmSeconds, rep.Sweep.SpeedupWarm,
 		rep.Sweep.ParallelWarmSeconds, rep.Sweep.Workers, rep.Sweep.SpeedupParallel, *out)
 }
 
-// gateDrain is the CI regression gate: it reruns the drain and
-// prediction benchmarks (best of three, to shave scheduler noise) and
-// fails when a fresh number lands more than drop below the committed
-// baseline's. Two figures gate: the warm-cursor drain (the rate the
-// sweeps actually run at, which the SoA pipeline exists to protect) and
-// the tournament prediction throughput (the meta-predictor's hot-path
-// cost). The generator and cold figures move with workload-generation
-// cost, which is not a regression of either.
-func gateDrain(baselinePath string, drop float64, events int64, nTraces int) int {
+// gateBaseline is the CI regression gate: it reruns the drain,
+// prediction and timing benchmarks (best of three, to shave scheduler
+// noise) and fails when a fresh figure lands more than drop below the
+// committed baseline's. Four figures gate: the warm-cursor drain (the
+// rate the sweeps actually run at, which the SoA pipeline exists to
+// protect), the tournament prediction throughput (the meta-predictor's
+// hot-path cost), and cpu.Run with and without address prediction (the
+// timing model the speedup figures run through). The generator and
+// cold figures move with workload-generation cost, which is not a
+// regression of any of these.
+func gateBaseline(baselinePath string, drop float64, events int64, nTraces int) int {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchsweep: gate:", err)
@@ -156,45 +193,59 @@ func gateDrain(baselinePath string, drop float64, events int64, nTraces int) int
 		fmt.Fprintf(os.Stderr, "benchsweep: gate: %s has no warm_cursor_mev_per_s baseline\n", baselinePath)
 		return 2
 	}
-	var fresh float64
-	for i := 0; i < 3; i++ {
-		if r := drainBench(events, nTraces).WarmCursorMEvS; r > fresh {
-			fresh = r
-		}
-	}
-	floor := base.Drain.WarmCursorMEvS * (1 - drop)
-	if fresh < floor {
-		fmt.Fprintf(os.Stderr, "benchsweep: gate FAIL: warm-cursor drain %.1f Mev/s is below %.1f (baseline %.1f - %.0f%%)\n",
-			fresh, floor, base.Drain.WarmCursorMEvS, drop*100)
-		return 1
-	}
-	fmt.Printf("benchsweep: gate ok: warm-cursor drain %.1f Mev/s vs baseline %.1f (floor %.1f)\n",
-		fresh, base.Drain.WarmCursorMEvS, floor)
-
-	// Baselines written before the prediction benchmark existed have no
-	// tournament figure; they gate on drain alone.
-	if base.Predict.TournamentMEvS > 0 {
-		var freshT float64
+	best := func(measure func() float64) float64 {
+		var b float64
 		for i := 0; i < 3; i++ {
-			if r := predictBench(events, nTraces).TournamentMEvS; r > freshT {
-				freshT = r
+			if r := measure(); r > b {
+				b = r
 			}
 		}
-		floorT := base.Predict.TournamentMEvS * (1 - drop)
-		if freshT < floorT {
-			fmt.Fprintf(os.Stderr, "benchsweep: gate FAIL: tournament prediction %.1f Mev/s is below %.1f (baseline %.1f - %.0f%%)\n",
-				freshT, floorT, base.Predict.TournamentMEvS, drop*100)
+		return b
+	}
+	var timing timingReport // measured once, for both timing figures
+	timed := func() timingReport {
+		if timing.Traces == 0 {
+			timing = timingBench(events, nTraces)
+		}
+		return timing
+	}
+	// Baselines written before a benchmark existed have no figure for
+	// it (zero); those figures are skipped.
+	figures := []struct {
+		name    string
+		base    float64
+		measure func() float64
+	}{
+		{"warm-cursor drain", base.Drain.WarmCursorMEvS, func() float64 {
+			return best(func() float64 { return drainBench(events, nTraces).WarmCursorMEvS })
+		}},
+		{"tournament prediction", base.Predict.TournamentMEvS, func() float64 {
+			return best(func() float64 { return predictBench(events, nTraces).TournamentMEvS })
+		}},
+		{"cpu.Run without prediction", base.Timing.NoPredMEvS, func() float64 { return timed().NoPredMEvS }},
+		{"cpu.Run with hybrid at gap 8", base.Timing.HybridGap8MEvS, func() float64 { return timed().HybridGap8MEvS }},
+	}
+	for _, f := range figures {
+		if f.base <= 0 {
+			continue
+		}
+		got := f.measure()
+		floor := f.base * (1 - drop)
+		if got < floor {
+			fmt.Fprintf(os.Stderr, "benchsweep: gate FAIL: %s %.1f Mev/s is below %.1f (baseline %.1f - %.0f%%)\n",
+				f.name, got, floor, f.base, drop*100)
 			return 1
 		}
-		fmt.Printf("benchsweep: gate ok: tournament prediction %.1f Mev/s vs baseline %.1f (floor %.1f)\n",
-			freshT, base.Predict.TournamentMEvS, floorT)
+		fmt.Printf("benchsweep: gate ok: %s %.1f Mev/s vs baseline %.1f (floor %.1f)\n",
+			f.name, got, f.base, floor)
 	}
 	return 0
 }
 
-// predictBench measures RunTrace throughput over warm replay cursors:
-// the hybrid (the paper's configuration) and the full 5-way tournament.
-func predictBench(events int64, nTraces int) predictReport {
+// warmRoster returns the first nTraces traces of the roster (all when
+// nTraces is 0), an opener replaying each from a replay cache that is
+// already warm, and the total event count across them.
+func warmRoster(events int64, nTraces int) ([]capred.TraceSpec, func(capred.TraceSpec) capred.Source, int64) {
 	specs := capred.Traces()
 	if nTraces > 0 && nTraces < len(specs) {
 		specs = specs[:nTraces]
@@ -205,8 +256,15 @@ func predictBench(events int64, nTraces int) predictReport {
 	}
 	var total int64
 	for _, s := range specs {
-		total += drain(open(s)) // warm the cache so both measurements replay
+		total += drain(open(s))
 	}
+	return specs, open, total
+}
+
+// predictBench measures RunTrace throughput over warm replay cursors:
+// the hybrid (the paper's configuration) and the full 5-way tournament.
+func predictBench(events int64, nTraces int) predictReport {
+	specs, open, total := warmRoster(events, nTraces)
 
 	var hybridDur, tourDur time.Duration
 	for _, s := range specs {
@@ -233,6 +291,75 @@ func predictBench(events int64, nTraces int) predictReport {
 	}
 	r.TournamentVsHybrid = r.TournamentMEvS / r.HybridMEvS
 	return r
+}
+
+// timingBench measures cpu.Run throughput over warm replay cursors,
+// with no address prediction and with a speculative hybrid verified 8
+// loads late (the Fig. 12 gap). Each figure is the best of three full
+// passes over the traces.
+func timingBench(events int64, nTraces int) timingReport {
+	specs, open, total := warmRoster(events, nTraces)
+	pass := func(gap int) time.Duration {
+		var d time.Duration
+		for _, s := range specs {
+			var p capred.Predictor
+			if gap > 0 {
+				hc := capred.DefaultHybridConfig()
+				hc.Speculative = true
+				p = capred.NewHybrid(hc)
+			}
+			src := open(s)
+			t0 := time.Now()
+			r := capred.RunMachine(src, p, gap, capred.DefaultMachineConfig())
+			d += time.Since(t0)
+			if r.Err != nil || r.Instructions != events {
+				fmt.Fprintf(os.Stderr, "benchsweep: timing: %s: %d instructions, err %v\n", s.Name, r.Instructions, r.Err)
+				os.Exit(1)
+			}
+		}
+		return d
+	}
+	mevs := func(gap int) float64 {
+		best := pass(gap)
+		for i := 1; i < 3; i++ {
+			if d := pass(gap); d < best {
+				best = d
+			}
+		}
+		return float64(total) / best.Seconds() / 1e6
+	}
+	return timingReport{
+		Traces:         len(specs),
+		EventsPerTrace: events,
+		NoPredMEvS:     mevs(0),
+		HybridGap8MEvS: mevs(8),
+	}
+}
+
+// readHost stamps the report with the measuring host.
+func readHost() hostReport {
+	return hostReport{
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPUModel:   cpuModel(),
+	}
+}
+
+// cpuModel returns the first "model name" in /proc/cpuinfo, or
+// "unknown" where there is none (non-Linux hosts).
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }
 
 // drain pulls every event out of src through the block interface,

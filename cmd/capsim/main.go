@@ -5,6 +5,7 @@
 //	capsim -experiment fig5 [-events N] [-workers N]
 //	capsim -experiment fig5,fig7,baselines
 //	capsim -experiment all
+//	capsim -experiment fig12 -cpuprofile cpu.pprof
 //	capsim -list
 //
 // By default each trace stream is materialised once into a compact
@@ -13,6 +14,9 @@
 // regeneration), as for capserve; -cache-stats reports its hit counts
 // on exit. Cached replay is bit-identical to regeneration, so results
 // do not depend on the flag.
+//
+// -cpuprofile FILE writes a runtime/pprof CPU profile covering every
+// selected experiment, for `go tool pprof`.
 //
 // Experiments: fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 update-policy
 // lt-size baselines control ablations profile-assist addr-vs-value
@@ -47,6 +51,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"syscall"
@@ -143,6 +148,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		inject   = fs.String("inject", "", "fault injection: trace=mode[,trace=mode] (modes: decode, truncate, panic)")
 		budget   = fs.Int64("cache-budget", 512, "replay cache budget in MiB: each trace is materialised once and replayed across experiments (0 = disabled)")
 		cacheLog = fs.Bool("cache-stats", false, "print replay cache statistics to stderr on exit")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof format)")
 		list     = fs.Bool("list", false, "list available experiments")
 		version  = fs.Bool("version", false, "print version and exit")
 
@@ -206,6 +212,25 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	default:
 		fmt.Fprintln(stderr, "capsim: -experiment required; use -list to enumerate")
 		return 2
+	}
+
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			fmt.Fprintf(stderr, "capsim: -cpuprofile: %v\n", err)
+			return 2
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			fmt.Fprintf(stderr, "capsim: -cpuprofile: %v\n", err)
+			return 2
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(stderr, "capsim: -cpuprofile: %v\n", err)
+			}
+		}()
 	}
 
 	// With -coordinator, experiments run through the fleet layer; the

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -80,5 +82,37 @@ func TestCacheBudgetZeroDisablesCache(t *testing.T) {
 	}
 	if live != cached {
 		t.Fatalf("live and cached tables differ:\nlive:\n%s\ncached:\n%s", live, cached)
+	}
+}
+
+// TestCPUProfileFlag checks -cpuprofile writes a non-empty,
+// gzip-framed pprof profile covering the run.
+func TestCPUProfileFlag(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	var stdout, stderr bytes.Buffer
+	args := []string{"-experiment", "fig9", "-events", "4000", "-cpuprofile", path}
+	if code := run(context.Background(), args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) < 2 || raw[0] != 0x1f || raw[1] != 0x8b {
+		t.Fatalf("profile is %d bytes, not gzip-framed", len(raw))
+	}
+	if !strings.Contains(stdout.String(), "\n") {
+		t.Fatalf("no table printed alongside the profile:\n%s", stdout.String())
+	}
+}
+
+func TestCPUProfileBadPath(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-experiment", "fig9", "-events", "4000", "-cpuprofile", filepath.Join(t.TempDir(), "missing", "cpu.pprof")}
+	if code := run(context.Background(), args, &stdout, &stderr); code != 2 {
+		t.Fatalf("unwritable -cpuprofile: exit %d, want 2", code)
+	}
+	if !strings.Contains(stderr.String(), "-cpuprofile") {
+		t.Fatalf("stderr does not name the flag: %s", stderr.String())
 	}
 }

@@ -285,11 +285,14 @@ func Run(src trace.Source, pred predictor.Predictor, gapDepth int, cfg Config) R
 	// the source's interface dispatch) once per block instead of once per
 	// event keeps cancellation latency in the microseconds, and the block
 	// stays on the warm replay cursor's zero-copy path end to end. The
-	// timing model reads most fields of every kind (the readiness check
-	// consumes Src1/Src2 before the kind dispatch), so each event is
-	// gathered through the kind-gated Event accessor rather than read
-	// column-wise: fields a kind does not carry must come back zero here,
-	// not as another event's stale column data.
+	// loop reads the columns directly: each event reads its kind byte
+	// once, and every other column read is gated on that kind, because a
+	// column holds stale data wherever the kind does not carry the field
+	// (the trace.Block column contract). Src1/Src2 feed the readiness
+	// check, so they are read there for the kinds that carry them; each
+	// case of the kind dispatch reads its own fields. Slicing every
+	// column to the block length once lets the compiler drop the bounds
+	// checks in the loop.
 	bs := trace.AsBlocks(src)
 	block := trace.GetBlock()
 	defer trace.PutBlock(block)
@@ -301,8 +304,15 @@ func Run(src trace.Source, pred predictor.Predictor, gapDepth int, cfg Config) R
 			}
 		}
 		n, ok := bs.NextBlock(block, trace.BlockLen)
-		for bi := 0; bi < n; bi++ {
-			ev := block.Event(bi)
+		kt := block.KindTaken[:n]
+		ips := block.IP[:len(kt)]
+		addrs := block.Addr[:len(kt)]
+		offs := block.Offset[:len(kt)]
+		src1s := block.Src1[:len(kt)]
+		src2s := block.Src2[:len(kt)]
+		lats := block.Lat[:len(kt)]
+		for bi, kb := range kt {
+			kind := trace.Kind(kb &^ trace.KindTakenBit)
 
 			// Fetch: width-limited, stalled by flushes and the finite window.
 			f := fetchCycle
@@ -323,48 +333,59 @@ func Run(src trace.Source, pred predictor.Predictor, gapDepth int, cfg Config) R
 			// Readiness: dispatch plus source operands. Producers further back
 			// than the completion ring have long retired; their values are
 			// ready by construction.
+			var src1, src2 uint32
+			switch kind {
+			case trace.KindLoad, trace.KindStore, trace.KindALU:
+				src1, src2 = src1s[bi], src2s[bi]
+			case trace.KindBranch:
+				src1 = src1s[bi]
+			}
 			ready := dispatch
-			if d := int64(ev.Src1); d != 0 && d <= complete.mask {
+			if d := int64(src1); d != 0 && d <= complete.mask {
 				if c := complete.get(seq - d); c > ready {
 					ready = c
 				}
 			}
-			if d := int64(ev.Src2); d != 0 && d <= complete.mask {
+			if d := int64(src2); d != 0 && d <= complete.mask {
 				if c := complete.get(seq - d); c > ready {
 					ready = c
 				}
 			}
 
 			var done int64
-			switch ev.Kind {
+			switch kind {
 			case trace.KindALU:
-				issue := fus.reserve(ready)
-				done = issue + int64(ev.Latency())
+				lat := int64(lats[bi])
+				if lat == 0 {
+					lat = 1 // as trace.Event.Latency: unset means one cycle
+				}
+				done = fus.reserve(ready) + lat
 
 			case trace.KindStore:
 				issue := fus.reserve(ready)
 				issue = ports.reserve(issue)
-				hier.Access(ev.Addr, true)
+				hier.Access(addrs[bi], true)
 				done = issue + 1
 
 			case trace.KindLoad:
 				res.Loads++
+				ip, addr := ips[bi], addrs[bi]
 				if cfg.Prefetcher != nil {
-					if pfAddr, ok := cfg.Prefetcher.Observe(ev.IP, ev.Addr); ok {
+					if pfAddr, ok := cfg.Prefetcher.Observe(ip, addr); ok {
 						hier.Prefetch(pfAddr)
 					}
 				}
 				var p predictor.Prediction
 				if gap != nil {
 					ref := predictor.LoadRef{
-						IP: ev.IP, Offset: ev.Offset,
+						IP: ip, Offset: offs[bi],
 						GHR: ghr.Value(), Path: path.Value(),
 					}
-					p = gap.Process(ref, ev.Addr)
+					p = gap.Process(ref, addr)
 				}
-				lat := int64(hier.Access(ev.Addr, false))
+				lat := int64(hier.Access(addr, false))
 				switch {
-				case p.Speculate && p.Addr == ev.Addr:
+				case p.Speculate && p.Addr == addr:
 					// Correct speculative access: launched in the front end at
 					// fetch, so the data returns at f+lat and dependents do not
 					// wait for address generation. The port was used early.
@@ -395,22 +416,23 @@ func Run(src trace.Source, pred predictor.Predictor, gapDepth int, cfg Config) R
 
 			case trace.KindBranch:
 				res.Branches++
+				ip, taken := ips[bi], kb&trace.KindTakenBit != 0
 				issue := fus.reserve(ready)
 				done = issue + 1
-				if bp.predict(ev.IP) != ev.Taken {
+				if bp.predict(ip) != taken {
 					res.BranchMispreds++
 					if fl := done + int64(cfg.BranchFlushPenalty); fl > flushUntil {
 						flushUntil = fl
 					}
 				}
-				bp.update(ev.IP, ev.Taken)
-				ghr.Update(ev.Taken)
+				bp.update(ip, taken)
+				ghr.Update(taken)
 
 			case trace.KindCall, trace.KindReturn:
 				issue := fus.reserve(ready)
 				done = issue + 1
-				if ev.Kind == trace.KindCall {
-					path.Push(ev.IP)
+				if kind == trace.KindCall {
+					path.Push(ips[bi])
 				}
 			}
 

@@ -114,8 +114,8 @@ type capCore struct {
 }
 
 func newCAPCore(cfg CAPConfig) *capCore {
-	checkPow2("LT entries", cfg.LTEntries)
-	checkPow2("LT ways", cfg.LTWays)
+	CheckPow2("predictor: LT entries", cfg.LTEntries)
+	CheckPow2("predictor: LT ways", cfg.LTWays)
 	if cfg.LTWays > 1 && cfg.TagBits == 0 {
 		panic("predictor: set-associative LT requires TagBits > 0")
 	}
@@ -126,7 +126,7 @@ func newCAPCore(cfg CAPConfig) *capCore {
 		panic("predictor: TagBits must be at most 16")
 	}
 	ltSets := cfg.LTEntries / cfg.LTWays
-	idxBits := log2(ltSets)
+	idxBits := Log2(ltSets)
 	histBits := idxBits + uint(cfg.TagBits)
 	if histBits > 32 {
 		panic("predictor: history wider than 32 bits")
@@ -154,7 +154,7 @@ func newCAPCore(cfg CAPConfig) *capCore {
 		c.offMsk = uint32(1)<<uint(cfg.OffsetBits) - 1
 	}
 	if cfg.PFTableEntries > 0 {
-		checkPow2("PF table entries", cfg.PFTableEntries)
+		CheckPow2("predictor: PF table entries", cfg.PFTableEntries)
 		c.pfTab = make([]pfEntry, cfg.PFTableEntries)
 	}
 	return c
@@ -305,7 +305,7 @@ func (c *capCore) resolve(cs *capState, cp ComponentPrediction, speculated bool,
 
 	if cp.Predicted {
 		if correct {
-			cs.conf = satInc(cs.conf, c.cfg.ConfMax)
+			cs.conf = SatInc(cs.conf, c.cfg.ConfMax)
 		} else {
 			cs.conf = 0
 		}

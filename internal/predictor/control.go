@@ -39,7 +39,7 @@ type Control struct {
 
 // NewControl builds a control-based address predictor.
 func NewControl(cfg ControlConfig) *Control {
-	checkPow2("control table entries", cfg.Entries)
+	CheckPow2("predictor: control table entries", cfg.Entries)
 	return &Control{
 		cfg:  cfg,
 		tab:  make([]controlEntry, cfg.Entries),
@@ -81,7 +81,7 @@ func (c *Control) Predict(ref LoadRef) Prediction {
 func (c *Control) Resolve(ref LoadRef, p Prediction, actual uint32) {
 	e := &c.tab[c.index(ref)]
 	if e.valid && e.addr == actual {
-		e.conf = satInc(e.conf, c.cfg.ConfMax)
+		e.conf = SatInc(e.conf, c.cfg.ConfMax)
 	} else {
 		e.conf = 0
 	}

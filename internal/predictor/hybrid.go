@@ -155,9 +155,9 @@ func (h *Hybrid) Resolve(ref LoadRef, p Prediction, actual uint32) {
 	if p.Stride.Predicted && p.CAP.Predicted {
 		switch {
 		case capCorrect && !strideCorrect:
-			e.sel = satInc(e.sel, SelStrongCAP)
+			e.sel = SatInc(e.sel, SelStrongCAP)
 		case strideCorrect && !capCorrect:
-			e.sel = satDec(e.sel)
+			e.sel = SatDec(e.sel)
 		}
 	}
 

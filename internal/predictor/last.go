@@ -55,7 +55,7 @@ func (l *lastEntrant) Predict(slot int, _ LoadRef) ComponentPrediction {
 func (l *lastEntrant) Resolve(slot int, _ LoadRef, _ ComponentPrediction, _ bool, actual uint32) {
 	e := &l.col[slot]
 	if e.have && e.last == actual {
-		e.conf = satInc(e.conf, l.cfg.ConfMax)
+		e.conf = SatInc(e.conf, l.cfg.ConfMax)
 	} else {
 		e.conf = 0
 	}

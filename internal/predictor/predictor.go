@@ -167,8 +167,8 @@ func (p *PathHist) Push(ip uint32) {
 // Value returns the current path hash.
 func (p *PathHist) Value() uint32 { return p.bits }
 
-// log2 returns floor(log2(n)) for n ≥ 1.
-func log2(n int) uint {
+// Log2 returns floor(log2(n)) for n ≥ 1.
+func Log2(n int) uint {
 	var l uint
 	for n > 1 {
 		n >>= 1
@@ -177,24 +177,26 @@ func log2(n int) uint {
 	return l
 }
 
-// checkPow2 panics unless n is a positive power of two; table geometries
-// in this package are all power-of-two.
-func checkPow2(name string, n int) {
+// CheckPow2 panics unless n is a positive power of two; table geometries
+// in this package and its entrant packages are all power-of-two. name
+// identifies the field, prefixed with the caller's package (e.g.
+// "predictor: LB entries"), and leads the panic text.
+func CheckPow2(name string, n int) {
 	if n <= 0 || n&(n-1) != 0 {
-		panic(fmt.Sprintf("predictor: %s must be a positive power of two, got %d", name, n))
+		panic(fmt.Sprintf("%s must be a positive power of two, got %d", name, n))
 	}
 }
 
-// satInc increments a saturating counter bounded by max.
-func satInc(c, max uint8) uint8 {
+// SatInc increments a saturating counter bounded by max.
+func SatInc(c, max uint8) uint8 {
 	if c < max {
 		return c + 1
 	}
 	return c
 }
 
-// satDec decrements a saturating counter bounded below by zero.
-func satDec(c uint8) uint8 {
+// SatDec decrements a saturating counter bounded below by zero.
+func SatDec(c uint8) uint8 {
 	if c > 0 {
 		return c - 1
 	}

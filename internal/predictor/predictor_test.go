@@ -1,6 +1,7 @@
 package predictor
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -71,24 +72,24 @@ func TestPredictionCorrectAndMispredicted(t *testing.T) {
 func TestSatCounters(t *testing.T) {
 	var c uint8
 	for i := 0; i < 10; i++ {
-		c = satInc(c, 3)
+		c = SatInc(c, 3)
 	}
 	if c != 3 {
-		t.Errorf("satInc saturation: got %d, want 3", c)
+		t.Errorf("SatInc saturation: got %d, want 3", c)
 	}
 	for i := 0; i < 10; i++ {
-		c = satDec(c)
+		c = SatDec(c)
 	}
 	if c != 0 {
-		t.Errorf("satDec floor: got %d, want 0", c)
+		t.Errorf("SatDec floor: got %d, want 0", c)
 	}
 }
 
 func TestLog2(t *testing.T) {
 	cases := map[int]uint{1: 0, 2: 1, 4: 2, 4096: 12, 8192: 13}
 	for n, want := range cases {
-		if got := log2(n); got != want {
-			t.Errorf("log2(%d) = %d, want %d", n, got, want)
+		if got := Log2(n); got != want {
+			t.Errorf("Log2(%d) = %d, want %d", n, got, want)
 		}
 	}
 }
@@ -97,16 +98,18 @@ func TestCheckPow2Panics(t *testing.T) {
 	for _, n := range []int{0, -4, 3, 12, 4095} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("checkPow2(%d) did not panic", n)
+				// The panic text leads with the caller's package and field.
+				want := fmt.Sprintf("tournament: x must be a positive power of two, got %d", n)
+				if r := recover(); r != want {
+					t.Errorf("CheckPow2(%d) panicked with %v, want %q", n, r, want)
 				}
 			}()
-			checkPow2("x", n)
+			CheckPow2("tournament: x", n)
 		}()
 	}
 	// Must not panic for powers of two.
-	checkPow2("x", 1)
-	checkPow2("x", 4096)
+	CheckPow2("predictor: x", 1)
+	CheckPow2("predictor: x", 4096)
 }
 
 func TestComponentString(t *testing.T) {

@@ -116,7 +116,7 @@ func (c *strideCore) resolve(st *strideState, cp ComponentPrediction, speculated
 	// Confidence and control-flow indications reflect prediction outcome.
 	if cp.Predicted {
 		if correct {
-			st.conf = satInc(st.conf, c.cfg.ConfMax)
+			st.conf = SatInc(st.conf, c.cfg.ConfMax)
 		} else {
 			st.conf = 0
 		}

@@ -10,7 +10,7 @@ type LBTable[T any] struct {
 	ways     int
 	setLow   uint // bits to shift IP before set selection
 	setMask  uint32
-	tagShift uint // setLow + log2(sets), precomputed off the hot path
+	tagShift uint // setLow + Log2(sets), precomputed off the hot path
 	slots    []lbSlot[T]
 }
 
@@ -24,8 +24,8 @@ type lbSlot[T any] struct {
 // NewLBTable builds a table with the given total entry count and
 // associativity; both must be powers of two with entries ≥ ways.
 func NewLBTable[T any](entries, ways int) *LBTable[T] {
-	checkPow2("LB entries", entries)
-	checkPow2("LB ways", ways)
+	CheckPow2("predictor: LB entries", entries)
+	CheckPow2("predictor: LB ways", ways)
 	if ways > entries {
 		panic("predictor: LB ways exceed entries")
 	}
@@ -35,7 +35,7 @@ func NewLBTable[T any](entries, ways int) *LBTable[T] {
 		ways:     ways,
 		setLow:   2, // instructions are 4-byte aligned in our traces
 		setMask:  uint32(sets - 1),
-		tagShift: 2 + log2(sets),
+		tagShift: 2 + Log2(sets),
 		slots:    make([]lbSlot[T], entries),
 	}
 }

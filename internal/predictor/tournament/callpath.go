@@ -62,14 +62,14 @@ type CallPath struct {
 
 // NewCallPath builds the call-path-context entrant.
 func NewCallPath(cfg CallPathConfig) *CallPath {
-	checkPow2("call-path table entries", cfg.TableEntries)
+	predictor.CheckPow2("tournament: call-path table entries", cfg.TableEntries)
 	if cfg.TagBits > 16 {
 		panic("tournament: call-path TagBits must be at most 16")
 	}
 	return &CallPath{
 		cfg:     cfg,
 		tab:     make([]cpathEntry, cfg.TableEntries),
-		idxBits: log2(cfg.TableEntries),
+		idxBits: predictor.Log2(cfg.TableEntries),
 		pathMsk: uint32(1)<<uint(cfg.PathBits) - 1,
 		tagMsk:  uint32(1)<<uint(cfg.TagBits) - 1,
 	}
@@ -112,7 +112,7 @@ func (c *CallPath) Resolve(_ int, ref predictor.LoadRef, cp predictor.ComponentP
 	idx, tag := c.split(c.hash(ref))
 	e := &c.tab[idx]
 	if e.valid && (c.cfg.TagBits == 0 || e.tag == tag) && e.addr == actual {
-		e.conf = satInc(e.conf, c.cfg.ConfMax)
+		e.conf = predictor.SatInc(e.conf, c.cfg.ConfMax)
 	} else {
 		e.conf = 0
 	}

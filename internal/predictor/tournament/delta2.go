@@ -96,7 +96,7 @@ func (d *Delta2) Resolve(slot int, ref predictor.LoadRef, cp predictor.Component
 	correct := cp.Predicted && cp.Addr == actual
 	if cp.Predicted {
 		if correct {
-			st.conf = satInc(st.conf, d.cfg.ConfMax)
+			st.conf = predictor.SatInc(st.conf, d.cfg.ConfMax)
 		} else {
 			st.conf = 0
 		}

@@ -74,14 +74,14 @@ type Markov struct {
 
 // NewMarkov builds the Markov entrant.
 func NewMarkov(cfg MarkovConfig) *Markov {
-	checkPow2("Markov table entries", cfg.TableEntries)
+	predictor.CheckPow2("tournament: Markov table entries", cfg.TableEntries)
 	if cfg.HistLen < 1 {
 		panic("tournament: Markov HistLen must be at least 1")
 	}
 	if cfg.TagBits > 16 {
 		panic("tournament: Markov TagBits must be at most 16")
 	}
-	idxBits := log2(cfg.TableEntries)
+	idxBits := predictor.Log2(cfg.TableEntries)
 	histBits := idxBits + uint(cfg.TagBits)
 	if histBits > 32 {
 		panic("tournament: Markov history wider than 32 bits")
@@ -175,7 +175,7 @@ func (m *Markov) Resolve(slot int, ref predictor.LoadRef, cp predictor.Component
 	correct := cp.Predicted && cp.Addr == actual
 	if cp.Predicted {
 		if correct {
-			st.conf = satInc(st.conf, m.cfg.ConfMax)
+			st.conf = predictor.SatInc(st.conf, m.cfg.ConfMax)
 		} else {
 			st.conf = 0
 		}

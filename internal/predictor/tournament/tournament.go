@@ -339,9 +339,9 @@ func (t *Tournament) Resolve(ref predictor.LoadRef, p predictor.Prediction, actu
 				continue
 			}
 			if ops[i].Addr == actual {
-				e.ctr[i] = satInc(e.ctr[i], t.cfg.CounterMax)
+				e.ctr[i] = predictor.SatInc(e.ctr[i], t.cfg.CounterMax)
 			} else {
-				e.ctr[i] = satDec(e.ctr[i])
+				e.ctr[i] = predictor.SatDec(e.ctr[i])
 			}
 		}
 	}

@@ -119,20 +119,24 @@ func (c *ReplayCache) Open(key string, gen func() Source) Source {
 // canonical form the v3 codec round-trips.
 func (c *ReplayCache) materialise(gen func() Source) *Block {
 	limit := c.remaining()
-	src := AsBlocks(gen())
+	s := gen()
+	src := AsBlocks(s)
 	b := GetBlock()
 	defer PutBlock(b)
 	cols := &Block{}
+	// A Limit announces an upper bound on the stream's length: when the
+	// bound fits the budget, allocate the columns once at that size
+	// instead of growing them by append. A bound that does not fit keeps
+	// append growth, so the budget check below still rejects before the
+	// whole stream is buffered.
+	presized := 0
+	if l, ok := s.(*Limit); ok && l.n > 0 && (limit < 0 || l.n <= limit/colBytesPerEvent) {
+		presized = int(l.n)
+		cols = newColumns(presized)
+	}
 	for {
 		n, ok := src.NextBlock(b, BlockLen)
-		cols.KindTaken = append(cols.KindTaken, b.KindTaken[:n]...)
-		cols.IP = append(cols.IP, b.IP[:n]...)
-		cols.Addr = append(cols.Addr, b.Addr[:n]...)
-		cols.Val = append(cols.Val, b.Val[:n]...)
-		cols.Offset = append(cols.Offset, b.Offset[:n]...)
-		cols.Src1 = append(cols.Src1, b.Src1[:n]...)
-		cols.Src2 = append(cols.Src2, b.Src2[:n]...)
-		cols.Lat = append(cols.Lat, b.Lat[:n]...)
+		cols.appendColumns(b, n)
 		if limit >= 0 && int64(cols.Len())*colBytesPerEvent > limit {
 			// Over budget: abandon the columns; every open of this key
 			// regenerates live instead.
@@ -147,6 +151,14 @@ func (c *ReplayCache) materialise(gen func() Source) *Block {
 		// through the live path on every open.
 		return c.reject()
 	}
+	if cols.Len() < presized {
+		// The stream ended short of its bound: copy it into exact-size
+		// columns, so the resident bytes are the bytes the budget is
+		// charged below.
+		exact := newColumns(cols.Len())
+		exact.appendColumns(cols, cols.Len())
+		cols = exact
+	}
 	size := int64(cols.Len()) * colBytesPerEvent
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -159,6 +171,32 @@ func (c *ReplayCache) materialise(gen func() Source) *Block {
 	c.used += size
 	c.resident++
 	return cols
+}
+
+// newColumns returns an empty column store with capacity for n events.
+func newColumns(n int) *Block {
+	return &Block{
+		KindTaken: make([]uint8, 0, n),
+		IP:        make([]uint32, 0, n),
+		Addr:      make([]uint32, 0, n),
+		Val:       make([]uint32, 0, n),
+		Offset:    make([]int32, 0, n),
+		Src1:      make([]uint32, 0, n),
+		Src2:      make([]uint32, 0, n),
+		Lat:       make([]uint8, 0, n),
+	}
+}
+
+// appendColumns appends the first n events of src's columns to b's.
+func (b *Block) appendColumns(src *Block, n int) {
+	b.KindTaken = append(b.KindTaken, src.KindTaken[:n]...)
+	b.IP = append(b.IP, src.IP[:n]...)
+	b.Addr = append(b.Addr, src.Addr[:n]...)
+	b.Val = append(b.Val, src.Val[:n]...)
+	b.Offset = append(b.Offset, src.Offset[:n]...)
+	b.Src1 = append(b.Src1, src.Src1[:n]...)
+	b.Src2 = append(b.Src2, src.Src2[:n]...)
+	b.Lat = append(b.Lat, src.Lat[:n]...)
 }
 
 // remaining returns the unspent byte budget, or -1 for unlimited.

@@ -172,3 +172,81 @@ func TestReplayStatsString(t *testing.T) {
 		t.Fatal("empty stats string")
 	}
 }
+
+// residentCols returns the column store the cache retained for key.
+func residentCols(t *testing.T, c *ReplayCache, key string) *Block {
+	t.Helper()
+	c.mu.Lock()
+	e := c.entries[key]
+	c.mu.Unlock()
+	if e == nil || e.cols == nil {
+		t.Fatalf("key %q not resident", key)
+	}
+	return e.cols
+}
+
+func TestReplayCachePresizesLimit(t *testing.T) {
+	want := canonicalAll(testEvents(8000))[:5000]
+	// Unlimited, and a budget the bound fits exactly.
+	for _, budget := range []int64{0, 5000 * colBytesPerEvent} {
+		c := NewReplayCache(budget)
+		gen := func() Source { return NewLimit(NewSliceSource(canonicalAll(testEvents(8000))), 5000) }
+		eventsEqual(t, drainAll(t, c.Open("k", gen)), want)
+		cols := residentCols(t, c, "k")
+		for name, lc := range map[string][2]int{
+			"KindTaken": {len(cols.KindTaken), cap(cols.KindTaken)},
+			"IP":        {len(cols.IP), cap(cols.IP)},
+			"Addr":      {len(cols.Addr), cap(cols.Addr)},
+			"Val":       {len(cols.Val), cap(cols.Val)},
+			"Offset":    {len(cols.Offset), cap(cols.Offset)},
+			"Src1":      {len(cols.Src1), cap(cols.Src1)},
+			"Src2":      {len(cols.Src2), cap(cols.Src2)},
+			"Lat":       {len(cols.Lat), cap(cols.Lat)},
+		} {
+			if lc != [2]int{5000, 5000} {
+				t.Errorf("budget %d: %s len/cap = %v, want 5000/5000", budget, name, lc)
+			}
+		}
+		eventsEqual(t, drainAll(t, c.Open("k", gen)), want)
+	}
+}
+
+func TestReplayCacheLimitOverBudgetRejected(t *testing.T) {
+	want := canonicalAll(testEvents(4000))
+	var opens atomic.Int64
+	gen := func() Source {
+		opens.Add(1)
+		return NewLimit(NewSliceSource(want), 4000)
+	}
+	// One event short of the bound: presizing must not happen, and the
+	// stream must still be rejected once it outgrows the budget.
+	c := NewReplayCache(4000*colBytesPerEvent - 1)
+	for i := 0; i < 2; i++ {
+		eventsEqual(t, drainAll(t, c.Open("k", gen)), want)
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Rejected != 1 || st.Misses != 2 {
+		t.Fatalf("over-budget limited stream: %+v", st)
+	}
+	if n := opens.Load(); n != 3 {
+		t.Fatalf("generator opened %d times, want 3", n)
+	}
+}
+
+func TestReplayCacheLimitShortStream(t *testing.T) {
+	want := canonicalAll(testEvents(300))
+	c := NewReplayCache(0)
+	gen := func() Source { return NewLimit(NewSliceSource(want), 5000) }
+	for i := 0; i < 3; i++ {
+		eventsEqual(t, drainAll(t, c.Open("k", gen)), want)
+	}
+	// The spare capacity of the 5000-event bound is not kept resident:
+	// the budget is charged for what the columns hold.
+	cols := residentCols(t, c, "k")
+	if n := cols.Len(); n != len(want) || cap(cols.IP) != n || cap(cols.KindTaken) != n {
+		t.Fatalf("resident stream has %d events, IP cap %d, KindTaken cap %d; want %d, %d, %d",
+			n, cap(cols.IP), cap(cols.KindTaken), len(want), len(want), len(want))
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Hits != 3 || st.Bytes != int64(len(want))*colBytesPerEvent {
+		t.Fatalf("short limited stream: %+v", st)
+	}
+}
